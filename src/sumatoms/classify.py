@@ -142,13 +142,6 @@ def _subgroup_masks(group: FiniteGroup) -> list[int]:
     return [h.mask for h in enumerate_subgroups(group)]
 
 
-def _set_product_size(xs: list[int], members: int) -> int:
-    out = 0
-    for x in bit_indices(members):
-        out |= xs[x]
-    return out.bit_count()
-
-
 def _set_product_mask(xs: list[int], members: int) -> int:
     out = 0
     for x in bit_indices(members):
@@ -309,11 +302,11 @@ def find_case_ii_subgroup(
         hsize = len(h)
         if hsize < 2 or hsize >= n:
             continue
-        if _set_product_size(xs, h.mask) <= hsize + bound:
+        if _set_product_mask(xs, h.mask).bit_count() <= hsize + bound:
             return CaseIIWitness(subgroup=h, epsilon=1)
         if xs_inv is None:
             xs_inv = TranslateTables(group, tables.sinv_mask).xs_masks()
-        if _set_product_size(xs_inv, h.mask) <= hsize + bound:
+        if _set_product_mask(xs_inv, h.mask).bit_count() <= hsize + bound:
             return CaseIIWitness(subgroup=h, epsilon=-1)
     return None
 
@@ -350,11 +343,11 @@ def find_case_iii_witness(
             expected = asize + ssize - 1
             if expected != n - asize:
                 continue
-            if _set_product_size(xs, amask) == expected:
+            if _set_product_mask(xs, amask).bit_count() == expected:
                 return CaseIIIWitness(subgroup=h, a=a, epsilon=1)
             if xs_inv is None:
                 xs_inv = TranslateTables(group, tables.sinv_mask).xs_masks()
-            if _set_product_size(xs_inv, amask) == expected:
+            if _set_product_mask(xs_inv, amask).bit_count() == expected:
                 return CaseIIIWitness(subgroup=h, a=a, epsilon=-1)
     return None
 

@@ -26,6 +26,7 @@ from .digraphs import (
     verify_translation_transitivity,
 )
 from .errors import (
+    EngineMismatchError,
     NotGeneratingError,
     NotSeparableError,
     OracleCapError,
@@ -392,6 +393,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except EngineMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ORACLE_MISMATCH
     except (NotSeparableError, NotGeneratingError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_SEPARABLE

@@ -18,6 +18,7 @@ from typing import Iterable, Optional
 from .bitset import bit_indices, indices_tuple, permute_mask
 from .errors import (
     DisconnectedGraphError,
+    EngineMismatchError,
     GraphTooLargeError,
     GroupMismatchError,
     PreconditionError,
@@ -530,7 +531,7 @@ def arc_connectivity(
         if n <= exact_cap:
             enum = arc_connectivity_exhaustive(graph, 1, cap=exact_cap, atom_cap=atom_cap)
             if enum.lam != lam:
-                raise AssertionError(
+                raise EngineMismatchError(
                     f"flow/enumeration disagree on lambda_1: {lam} vs {enum.lam}"
                 )
             return ArcCutReport(

@@ -42,6 +42,10 @@ class OracleCapError(SizeCapError):
     """Group too large for the exhaustive oracle."""
 
 
+class EngineMismatchError(SumatomsError):
+    """Two independent engines computed different values for one quantity."""
+
+
 class GraphError(SumatomsError):
     """Base class for digraph-specific errors."""
 

@@ -11,10 +11,9 @@ a pruned search (:func:`find_atoms`) and a plain exhaustive oracle
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .bitset import bit_indices, indices_tuple, mask_from_indices, permute_mask
 from .errors import (
@@ -279,37 +278,100 @@ def _require_generating(group: FiniteGroup, smask: int) -> None:
 # any s in S is admissible with a strictly smaller boundary.
 
 
-def _scan_fragments(
-    group: FiniteGroup,
-    smask: int,
-    k: int,
-    atom_cap: int,
-    *,
-    connected: bool,
-) -> tuple[Optional[int], dict[int, int], dict[int, list[int]], dict[int, int]]:
-    """Enumerate admissible sets containing the identity.
+def _admissible_sets(
+    group: FiniteGroup, smask: int, k: int
+) -> Iterator[tuple[int, int, int]]:
+    """Yield (X, |X|, boundary size) for every admissible X containing 1.
 
-    Returns (kappa, best boundary per size, capped achiever masks per size,
-    achiever counts per size).  With ``connected`` the scan visits only
-    connected candidates, which is complete for k <= 2.
+    Admissible means |X| >= k and a remainder of at least k elements, i.e.
+    |XS| <= n - k.  For k <= 2 only connected X are visited, which is
+    complete there.  The walk is depth first on an explicit stack: the
+    lowest candidate is tried first, and once its subtree is done it is
+    banned from the subtrees of its later siblings, so each X appears once.
     """
     n = group.order
     limit = n - k
     tables = TranslateTables(group, smask)
     xs = tables.xs_masks()
-    if connected:
-        nbr = tables.neighbor_masks()
-    else:
-        full = (1 << n) - 1
-        nbr = [full] * n
+    nbr = tables.neighbor_masks() if k <= 2 else [(1 << n) - 1] * n
+    seed = 1 << IDENTITY
+    seed_u = xs[IDENTITY]
+    if seed_u.bit_count() > limit:
+        return
+    if k <= 1:
+        yield seed, 1, seed_u.bit_count() - 1
+    # The current node is (X, XS, frontier, untried candidates, banned
+    # candidates); a parent with untried candidates waits on the stack.
+    x, u, frontier, ban = seed, seed_u, nbr[IDENTITY], 0
+    cands = frontier & ~seed
+    stack: list[tuple[int, int, int, int, int]] = []
+    push = stack.append
+    pop = stack.pop
+    while True:
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            c = low.bit_length() - 1
+            nu = u | xs[c]
+            usize = nu.bit_count()
+            if usize <= limit:
+                nx = x | low
+                size = nx.bit_count()
+                if size >= k:
+                    yield nx, size, usize - size
+                grown = frontier | nbr[c]
+                child_cands = grown & ~(ban | nx)
+                if child_cands:
+                    if cands:
+                        push((x, u, frontier, cands, ban | low))
+                    x, u, frontier, cands = nx, nu, grown, child_cands
+                    continue
+            ban |= low
+        if not stack:
+            return
+        x, u, frontier, cands, ban = pop()
+
+
+def boundary_witness(
+    group: FiniteGroup, smask: int, k: int, target: int
+) -> Optional[int]:
+    """A mask X (1 in X, |X| >= k, |X*| >= k) with boundary <= target, or None.
+
+    Complete decision via the same search as the atom computation, stopping
+    at the first witness.
+    """
+    if target < 0 or 2 * k > group.order:
+        return None
+    for x, _, b in _admissible_sets(group, smask, k):
+        if b <= target:
+            return x
+    return None
+
+
+@dataclass(frozen=True)
+class _Tally:
+    """Least boundary per size over the admissible sets, with its achievers.
+
+    ``achievers`` keeps at most ``atom_cap`` masks per size, in the order
+    they were found; ``counts`` counts all of them.
+    """
+
+    kappa: int
+    best_by_size: dict[int, int]
+    achievers: dict[int, list[int]]
+    counts: dict[int, int]
+
+    def fragment_sizes(self) -> list[int]:
+        return sorted(s for s, b in self.best_by_size.items() if b == self.kappa)
+
+
+def _tally(
+    admissible: Iterable[tuple[int, int, int]], k: int, atom_cap: int
+) -> _Tally:
     best_by_size: dict[int, int] = {}
     achievers: dict[int, list[int]] = {}
     counts: dict[int, int] = {}
-    kappa = [n + 1]
-
-    def record(x: int, size: int, b: int) -> None:
-        if b < kappa[0]:
-            kappa[0] = b
+    for x, size, b in admissible:
         cur = best_by_size.get(size)
         if cur is None or b < cur:
             best_by_size[size] = b
@@ -320,101 +382,28 @@ def _scan_fragments(
             bucket = achievers[size]
             if len(bucket) < atom_cap:
                 bucket.append(x)
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-
-    def rec(x: int, u: int, frontier: int, banned: int) -> None:
-        cands = frontier & ~banned & ~x
-        ban = banned
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            c = low.bit_length() - 1
-            nu = u | xs[c]
-            if nu.bit_count() <= limit:
-                nx = x | low
-                size = nx.bit_count()
-                if size >= k:
-                    record(nx, size, nu.bit_count() - size)
-                rec(nx, nu, frontier | nbr[c], ban)
-            ban |= low
-        return
-
-    seed = 1 << IDENTITY
-    seed_u = xs[IDENTITY]
-    if seed_u.bit_count() <= limit:
-        if k <= 1:
-            record(seed, 1, seed_u.bit_count() - 1)
-        rec(seed, seed_u, nbr[IDENTITY], 0)
-    if kappa[0] > n:
-        return None, best_by_size, achievers, counts
-    return kappa[0], best_by_size, achievers, counts
+    if not best_by_size:
+        raise NotSeparableError(f"set is not {k}-separable")
+    return _Tally(min(best_by_size.values()), best_by_size, achievers, counts)
 
 
-def boundary_witness(
-    group: FiniteGroup, smask: int, k: int, target: int
-) -> Optional[int]:
-    """A mask X (1 in X, |X| >= k, |X*| >= k) with boundary <= target, or None.
-
-    Complete decision via the same connected scan as the atom search (general
-    scan for k >= 3), stopping at the first witness.
-    """
-    n = group.order
-    if target < 0 or 2 * k > n:
-        return None
-    limit = n - k
-    tables = TranslateTables(group, smask)
-    xs = tables.xs_masks()
-    if k <= 2:
-        nbr = tables.neighbor_masks()
-    else:
-        full = (1 << n) - 1
-        nbr = [full] * n
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-
-    def rec(x: int, u: int, frontier: int, banned: int) -> Optional[int]:
-        cands = frontier & ~banned & ~x
-        ban = banned
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            c = low.bit_length() - 1
-            nu = u | xs[c]
-            if nu.bit_count() <= limit:
-                nx = x | low
-                size = nx.bit_count()
-                if size >= k and nu.bit_count() - size <= target:
-                    return nx
-                hit = rec(nx, nu, frontier | nbr[c], ban)
-                if hit is not None:
-                    return hit
-            ban |= low
-        return None
-
-    seed = 1 << IDENTITY
-    seed_u = xs[IDENTITY]
-    if seed_u.bit_count() > limit:
-        return None
-    if k <= 1 and seed_u.bit_count() - 1 <= target:
-        return seed
-    return rec(seed, seed_u, nbr[IDENTITY], 0)
-
-
-def _atoms_from_scan(
-    group: FiniteGroup,
-    kappa: int,
-    best_by_size: dict[int, int],
-    achievers: dict[int, list[int]],
-    counts: dict[int, int],
-    atom_cap: int,
-) -> tuple[int, list[int], int, bool]:
-    alpha = min(size for size, b in best_by_size.items() if b == kappa)
-    atom_masks = sorted(achievers[alpha], key=indices_tuple)
-    truncated = counts[alpha] > len(atom_masks)
-    frag_count = sum(
-        counts[size] for size, b in best_by_size.items() if b == kappa
+def _fragment_report(
+    group: FiniteGroup, k: int, tally: _Tally, atom_cap: int, *, oracle_used: bool
+) -> FragmentReport:
+    sizes = tally.fragment_sizes()
+    alpha = sizes[0]
+    atom_masks = sorted(tally.achievers[alpha], key=indices_tuple)
+    return FragmentReport(
+        k=k,
+        separable=True,
+        kappa=tally.kappa,
+        alpha=alpha,
+        atoms=tuple(GroupSubset(group, m) for m in atom_masks[:atom_cap]),
+        fragment_count=sum(tally.counts[size] for size in sizes),
+        fragment_count_exact=oracle_used or group.order <= FRAGMENT_COUNT_EXACT_CAP,
+        oracle_used=oracle_used,
+        atoms_truncated=tally.counts[alpha] > len(atom_masks),
     )
-    return alpha, atom_masks[:atom_cap], frag_count, truncated
 
 
 def _checked_input(s: GroupSubset, k: int) -> None:
@@ -433,26 +422,8 @@ def find_atoms(
     Requires S to contain the identity, generate the group and be k-separable.
     """
     _checked_input(s, k)
-    group = s.group
-    kappa, by_size, achievers, counts = _scan_fragments(
-        group, s.mask, k, atom_cap, connected=k <= 2
-    )
-    if kappa is None:
-        raise NotSeparableError(f"set is not {k}-separable")
-    alpha, atom_masks, frag_count, truncated = _atoms_from_scan(
-        group, kappa, by_size, achievers, counts, atom_cap
-    )
-    return FragmentReport(
-        k=k,
-        separable=True,
-        kappa=kappa,
-        alpha=alpha,
-        atoms=tuple(GroupSubset(group, m) for m in atom_masks),
-        fragment_count=frag_count,
-        fragment_count_exact=group.order <= FRAGMENT_COUNT_EXACT_CAP,
-        oracle_used=False,
-        atoms_truncated=truncated,
-    )
+    tally = _tally(_admissible_sets(s.group, s.mask, k), k, atom_cap)
+    return _fragment_report(s.group, k, tally, atom_cap, oracle_used=False)
 
 
 def isoperimetric_number(s: GroupSubset, k: int) -> int:
@@ -465,18 +436,41 @@ def find_fragments(
 ) -> tuple[GroupSubset, ...]:
     """All k-fragments containing the identity, of every admissible size."""
     _checked_input(s, k)
-    group = s.group
-    kappa, by_size, achievers, _ = _scan_fragments(
-        group, s.mask, k, cap, connected=k <= 2
-    )
-    if kappa is None:
-        raise NotSeparableError(f"set is not {k}-separable")
-    masks = []
-    for size in sorted(by_size):
-        if by_size[size] == kappa:
-            masks.extend(achievers[size])
+    tally = _tally(_admissible_sets(s.group, s.mask, k), k, cap)
+    masks = [m for size in tally.fragment_sizes() for m in tally.achievers[size]]
     masks.sort(key=indices_tuple)
-    return tuple(GroupSubset(group, m) for m in masks)
+    return tuple(GroupSubset(s.group, m) for m in masks)
+
+
+def _every_admissible_set(
+    group: FiniteGroup, smask: int, k: int
+) -> Iterator[tuple[int, int, int]]:
+    """Like :func:`_admissible_sets`, by visiting every subset containing 1.
+
+    Subsets come in lexicographic order of their sorted index tuples, with no
+    pruning and no adjacency restriction.
+    """
+    n = group.order
+    limit = n - k
+    xs = TranslateTables(group, smask).xs_masks()
+    seed = 1 << IDENTITY
+    seed_u = xs[IDENTITY]
+    if k <= 1 and seed_u.bit_count() <= limit:
+        yield seed, 1, seed_u.bit_count() - 1
+    # Frame (X, XS, |X|, c): add element c to X, then try c + 1 onwards.
+    stack = [(seed, seed_u, 1, 1)] if n > 1 else []
+    while stack:
+        x, u, size, c = stack.pop()
+        if c + 1 < n:
+            stack.append((x, u, size, c + 1))
+        x |= 1 << c
+        u |= xs[c]
+        size += 1
+        usize = u.bit_count()
+        if size >= k and usize <= limit:
+            yield x, size, usize - size
+        if c + 1 < n:
+            stack.append((x, u, size, c + 1))
 
 
 def oracle_atoms(
@@ -493,61 +487,12 @@ def oracle_atoms(
     """
     _checked_input(s, k)
     group = s.group
-    n = group.order
-    if n > order_cap:
-        raise OracleCapError(f"group order {n} exceeds oracle cap {order_cap}")
-    tables = TranslateTables(group, s.mask)
-    xs = tables.xs_masks()
-    limit = n - k
-    best_by_size: dict[int, int] = {}
-    achievers: dict[int, list[int]] = {}
-    counts: dict[int, int] = {}
-    kappa = n + 1
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-
-    def visit(x: int, u: int, size: int) -> None:
-        nonlocal kappa
-        usize = u.bit_count()
-        if size >= k and usize <= limit:
-            b = usize - size
-            if b < kappa:
-                kappa = b
-            cur = best_by_size.get(size)
-            if cur is None or b < cur:
-                best_by_size[size] = b
-                achievers[size] = [x]
-                counts[size] = 1
-            elif b == cur:
-                counts[size] += 1
-                bucket = achievers[size]
-                if len(bucket) < atom_cap:
-                    bucket.append(x)
-
-    def rec(x: int, u: int, size: int, start: int) -> None:
-        for c in range(start, n):
-            nx = x | (1 << c)
-            nu = u | xs[c]
-            visit(nx, nu, size + 1)
-            rec(nx, nu, size + 1, c + 1)
-
-    visit(1 << IDENTITY, xs[IDENTITY], 1)
-    rec(1 << IDENTITY, xs[IDENTITY], 1, 1)
-    if kappa > n:
-        raise NotSeparableError(f"set is not {k}-separable")
-    alpha, atom_masks, frag_count, truncated = _atoms_from_scan(
-        group, kappa, best_by_size, achievers, counts, atom_cap
-    )
-    return FragmentReport(
-        k=k,
-        separable=True,
-        kappa=kappa,
-        alpha=alpha,
-        atoms=tuple(GroupSubset(group, m) for m in atom_masks),
-        fragment_count=frag_count,
-        fragment_count_exact=True,
-        oracle_used=True,
-        atoms_truncated=truncated,
-    )
+    if group.order > order_cap:
+        raise OracleCapError(
+            f"group order {group.order} exceeds oracle cap {order_cap}"
+        )
+    tally = _tally(_every_admissible_set(group, s.mask, k), k, atom_cap)
+    return _fragment_report(group, k, tally, atom_cap, oracle_used=True)
 
 
 # ---------------------------------------------------------------------------

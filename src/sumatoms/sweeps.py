@@ -361,8 +361,10 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
         subset = GroupSubset(group, smask)
         name = f"{spec.name} S={subset.to_literal()}"
         sinv = subset.inverse_set()
-        if _separability_witness(group, smask, 2) is not None:
+        two_separable = _separability_witness(group, smask, 2) is not None
+        if two_separable:
             rep = find_atoms(subset, 2)
+            rep_inv = find_atoms(sinv, 2)
             if rep.atoms_truncated:
                 failures.append(f"atom list truncated: {name}")
             atoms_all = atom_translates(rep, group)
@@ -378,7 +380,6 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
                         break
                 if overlap:
                     failures.append(f"atom pair overlap: {name}")
-            rep_inv = find_atoms(sinv, 2)
             if rep.kappa != rep_inv.kappa:
                 failures.append(f"kappa differs under inversion: {name}")
             if rep.alpha <= rep_inv.alpha:
@@ -407,10 +408,7 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
                 for atom in rep1.atoms:
                     if generated_subgroup(group, atom).mask != atom.mask:
                         failures.append(f"level-1 atom not a subgroup: {name}")
-            if (
-                _separability_witness(group, smask, 2) is not None
-                and find_atoms(subset, 2).alpha <= find_atoms(sinv, 2).alpha
-            ):
+            if two_separable and rep.alpha <= rep_inv.alpha:
                 # level-1 atoms sit inside or entirely outside every fragment
                 frag_masks = set()
                 for frag in find_fragments(subset, 1):

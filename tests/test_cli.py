@@ -1,6 +1,7 @@
 import io
 from contextlib import redirect_stdout
 
+from sumatoms import digraphs
 from sumatoms.cli import main
 
 
@@ -102,6 +103,20 @@ def test_quotient_command():
         "quotient", "--cyclic", "6", "--subgroup", "0 3", "--element", "3"
     )
     assert code2 == 3  # element inside the subgroup: precondition
+
+
+def test_quotient_engine_mismatch_exit_code(monkeypatch):
+    real = digraphs._flow_lambda1
+
+    def off_by_one(graph):
+        lam, sides = real(graph)
+        return lam + 1, sides
+
+    monkeypatch.setattr(digraphs, "_flow_lambda1", off_by_one)
+    code, _ = run_cli(
+        "quotient", "--semidirect", "7", "3", "--subgroup", "0 1 2", "--element", "3", "--k", "1"
+    )
+    assert code == 2
 
 
 def test_machine_format_deterministic():

@@ -4,6 +4,7 @@ import pytest
 
 from sumatoms import (
     DisconnectedGraphError,
+    EngineMismatchError,
     GraphTooLargeError,
     GroupSubset,
     PreconditionError,
@@ -30,6 +31,7 @@ from sumatoms import (
     outgoing_arcs,
     verify_translation_transitivity,
 )
+from sumatoms import digraphs
 from sumatoms.catalog import build_group, catalog_specs
 from sumatoms.digraphs import coset_vertices, graph_from_arcs
 from sumatoms.sumsets import product_set
@@ -181,6 +183,18 @@ def test_arc_connectivity_errors():
         arc_connectivity(two_cycles, 1)
     with pytest.raises(GraphTooLargeError):
         arc_connectivity(directed_cycle(20), 2, exact_cap=10)
+
+
+def test_engine_disagreement_is_typed(monkeypatch):
+    real = digraphs._flow_lambda1
+
+    def off_by_one(graph):
+        lam, sides = real(graph)
+        return lam + 1, sides
+
+    monkeypatch.setattr(digraphs, "_flow_lambda1", off_by_one)
+    with pytest.raises(EngineMismatchError):
+        arc_connectivity(directed_cycle(5), 1)
 
 
 def test_engines_agree():

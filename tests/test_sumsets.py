@@ -1,8 +1,10 @@
 import random
+import sys
 
 import pytest
 
 from sumatoms import (
+    FiniteGroup,
     GroupSubset,
     NotGeneratingError,
     NotSeparableError,
@@ -29,7 +31,7 @@ from sumatoms import (
 from sumatoms.bitset import indices_tuple
 from sumatoms.catalog import build_group, catalog_specs
 from sumatoms.groups import closure_mask
-from sumatoms.sumsets import _separability_witness
+from sumatoms.sumsets import _separability_witness, boundary_witness
 
 
 def subset(group, *indices):
@@ -156,10 +158,49 @@ def test_oracle_agreement_random():
         spec = specs[rng.randrange(len(specs))]
         group = build_group(spec)
         s = random_generating_set(rng, group)
-        for k in (1, 2):
+        for k in (1, 2, 3):
             if _separability_witness(group, s.mask, k) is None:
                 continue
             assert find_atoms(s, k).same_result(oracle_atoms(s, k))
+
+
+def test_boundary_witness_matches_oracle_kappa():
+    # The decision is exact: no witness below kappa, an admissible one at it.
+    rng = random.Random(61)
+    specs = [s for s in catalog_specs(12) if s.order >= 6]
+    checked = 0
+    for _ in range(40):
+        spec = specs[rng.randrange(len(specs))]
+        group = build_group(spec)
+        s = random_generating_set(rng, group)
+        for k in (1, 2, 3):
+            if _separability_witness(group, s.mask, k) is None:
+                continue
+            kappa = oracle_atoms(s, k).kappa
+            assert boundary_witness(group, s.mask, k, kappa - 1) is None
+            witness = boundary_witness(group, s.mask, k, kappa)
+            assert witness is not None
+            x = GroupSubset(group, witness)
+            assert 0 in x and len(x) >= k
+            assert len(remainder(s, x)) >= k
+            assert len(boundary(s, x)) <= kappa
+            checked += 1
+    assert checked > 60
+
+
+def test_deep_searches_leave_recursion_limit_alone():
+    # Search depth grows with |X|; an explicit stack keeps it off the
+    # interpreter's call stack.
+    limit = sys.getrecursionlimit()
+    n = 2048
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    c2048 = FiniteGroup(table, name="C2048", validate=False)
+    x = boundary_witness(c2048, 0b11, n // 2 - 1, 1)
+    assert x is not None and x.bit_count() == n // 2 - 1
+    assert sys.getrecursionlimit() == limit
+    rep = find_atoms(subset(make_cyclic(300), 0, 1), 1)
+    assert (rep.kappa, rep.alpha, rep.fragment_count) == (1, 1, 44551)
+    assert sys.getrecursionlimit() == limit
 
 
 def test_kappa_inversion_invariance():
