@@ -24,6 +24,7 @@ from .groups import (
     FiniteGroup,
     GroupSubset,
     double_coset_mask,
+    double_coset_pairs,
     enumerate_subgroups,
     generated_subgroup,
     right_coset_decomposition,
@@ -138,15 +139,16 @@ class HypothesisReport:
 # Hypothesis
 
 
-def _subgroup_masks(group: FiniteGroup) -> list[int]:
-    return [h.mask for h in enumerate_subgroups(group)]
+def _proper_subgroups(group: FiniteGroup) -> list[GroupSubset]:
+    """The subgroups H with 2 <= |H| < |G|, in enumerate_subgroups order."""
+    n = group.order
+    return [h for h in enumerate_subgroups(group) if 2 <= len(h) < n]
 
 
-def _set_product_mask(xs: list[int], members: int) -> int:
-    out = 0
-    for x in bit_indices(members):
-        out |= xs[x]
-    return out
+def _sides(group: FiniteGroup, smask: int) -> tuple[tuple[int, TranslateTables], ...]:
+    """Translate tables of S and of S^-1, each with its exponent eps."""
+    tables = TranslateTables(group, smask)
+    return (1, tables), (-1, TranslateTables(group, tables.sinv_mask))
 
 
 def _converted_witness(group: FiniteGroup, xmask: int, prod: int) -> int:
@@ -160,49 +162,24 @@ def _structured_boundary_witness(
 ) -> Optional[int]:
     """Cheap witness hunt: pairs, subgroups, then double-coset pairs H u Ha.
 
-    Checks each candidate against both S and S^-1 (boundaries agree up to
-    taking remainders, which converts a witness for one into one for the
-    other).  Returns a witness for S or None; incomplete by design.
+    Checks each candidate family against S and then S^-1 (boundaries agree
+    up to taking remainders, which converts a witness for one into one for
+    the other).  Returns a witness for S or None; incomplete by design.
     """
     n = group.order
     limit = n - 2
-    tables = TranslateTables(group, smask)
-    tables_inv = TranslateTables(group, tables.sinv_mask)
-    both = ((tables, False), (tables_inv, True))
-    for tab, convert in both:
-        xs = tab.xs_masks()
-        base = 1 << IDENTITY
-        for g in range(1, n):
-            x = base | (1 << g)
-            prod = xs[IDENTITY] | xs[g]
-            if prod.bit_count() <= limit and prod.bit_count() - 2 <= target:
-                return _converted_witness(group, x, prod) if convert else x
-    subgroups = _subgroup_masks(group)
-    for tab, convert in both:
-        xs = tab.xs_masks()
-        for hmask in subgroups:
-            hsize = hmask.bit_count()
-            if hsize < 2 or hsize >= n:
-                continue
-            prod = _set_product_mask(xs, hmask)
-            if prod.bit_count() <= limit and prod.bit_count() - hsize <= target:
-                return _converted_witness(group, hmask, prod) if convert else hmask
-    for tab, convert in both:
-        xs = tab.xs_masks()
-        for hmask in subgroups:
-            hsize = hmask.bit_count()
-            if hsize < 2 or hsize * hsize > n:
-                continue
-            for a in range(1, n):
-                if hmask >> a & 1:
-                    continue
-                if double_coset_mask(group, hmask, a).bit_count() != hsize * hsize:
-                    continue
-                amask = hmask | right_coset_mask(group, hmask, a)
-                prod = _set_product_mask(xs, amask)
-                asize = amask.bit_count()
-                if prod.bit_count() <= limit and prod.bit_count() - asize <= target:
-                    return _converted_witness(group, amask, prod) if convert else amask
+    sides = _sides(group, smask)
+    families = (
+        lambda: ((1 << IDENTITY) | (1 << g) for g in range(1, n)),
+        lambda: (h.mask for h in _proper_subgroups(group)),
+        lambda: (amask for _, _, amask in double_coset_pairs(group)),
+    )
+    for candidates in families:
+        for epsilon, tab in sides:
+            for xmask in candidates():
+                prod = tab.product(xmask)
+                if prod.bit_count() <= limit and prod.bit_count() - xmask.bit_count() <= target:
+                    return xmask if epsilon == 1 else _converted_witness(group, xmask, prod)
     return None
 
 
@@ -289,26 +266,29 @@ def _is_progression(group: FiniteGroup, t: int, a: int, m: int) -> bool:
     return seen == t
 
 
+def _subgroup_cover(
+    group: FiniteGroup, smask: int, slack: int
+) -> Optional[tuple[GroupSubset, int]]:
+    """First proper nontrivial H, with eps, such that |H S^eps| <= |H| + |S| - slack.
+
+    S is tried before S^-1 for each H; |H S^-1| = |S H|, so this is also
+    the one-sided cover scan "HS before SH".
+    """
+    bound = smask.bit_count() - slack
+    sides = _sides(group, smask)
+    for h in _proper_subgroups(group):
+        for epsilon, tab in sides:
+            if tab.product(h.mask).bit_count() <= len(h) + bound:
+                return h, epsilon
+    return None
+
+
 def find_case_ii_subgroup(
     group: FiniteGroup, s: GroupSubset
 ) -> Optional[CaseIIWitness]:
     """Smallest proper nontrivial subgroup with |H S^eps| <= |H| + |S| - 1."""
-    n = group.order
-    bound = len(s) - 1
-    tables = TranslateTables(group, s.mask)
-    xs = tables.xs_masks()
-    xs_inv: Optional[list[int]] = None
-    for h in enumerate_subgroups(group):
-        hsize = len(h)
-        if hsize < 2 or hsize >= n:
-            continue
-        if _set_product_mask(xs, h.mask).bit_count() <= hsize + bound:
-            return CaseIIWitness(subgroup=h, epsilon=1)
-        if xs_inv is None:
-            xs_inv = TranslateTables(group, tables.sinv_mask).xs_masks()
-        if _set_product_mask(xs_inv, h.mask).bit_count() <= hsize + bound:
-            return CaseIIWitness(subgroup=h, epsilon=-1)
-    return None
+    found = _subgroup_cover(group, s.mask, 1)
+    return CaseIIWitness(*found) if found is not None else None
 
 
 def find_case_iii_witness(
@@ -317,7 +297,8 @@ def find_case_iii_witness(
     """First (H, a, eps) with |HaH| = |H|^2 and |A S^eps| = |A|+|S|-1 = |G|-|A|.
 
     The two equalities force |S| = |G| + 1 - 4|H|, which pins the only
-    possible subgroup size, so the scan is gated on it.
+    possible subgroup size, so the scan is gated on it; under the gate the
+    two targets coincide for every pair A = H u Ha.
     """
     n = group.order
     ssize = len(s)
@@ -326,29 +307,11 @@ def find_case_iii_witness(
     hsize_required = (n + 1 - ssize) // 4
     if hsize_required < 1 or hsize_required * hsize_required > n:
         return None
-    tables = TranslateTables(group, s.mask)
-    xs = tables.xs_masks()
-    xs_inv: Optional[list[int]] = None
-    for h in enumerate_subgroups(group):
-        hsize = len(h)
-        if hsize != hsize_required:
-            continue
-        for a in range(1, n):
-            if h.mask >> a & 1:
-                continue
-            if double_coset_mask(group, h.mask, a).bit_count() != hsize * hsize:
-                continue
-            amask = h.mask | right_coset_mask(group, h.mask, a)
-            asize = amask.bit_count()
-            expected = asize + ssize - 1
-            if expected != n - asize:
-                continue
-            if _set_product_mask(xs, amask).bit_count() == expected:
-                return CaseIIIWitness(subgroup=h, a=a, epsilon=1)
-            if xs_inv is None:
-                xs_inv = TranslateTables(group, tables.sinv_mask).xs_masks()
-            if _set_product_mask(xs_inv, amask).bit_count() == expected:
-                return CaseIIIWitness(subgroup=h, a=a, epsilon=-1)
+    sides = _sides(group, s.mask)
+    for h, a, amask in double_coset_pairs(group, hsize_required):
+        for epsilon, tab in sides:
+            if tab.product(amask).bit_count() == n - amask.bit_count():
+                return CaseIIIWitness(subgroup=h, a=a, epsilon=epsilon)
     return None
 
 
@@ -547,17 +510,11 @@ def coset_cover_witness(
     group: FiniteGroup, smask: int, slack: int = 2
 ) -> Optional[tuple[int, str]]:
     """A proper subgroup H with |HS| or |SH| <= |H| + |S| - slack, if any."""
-    n = group.order
-    ssize = smask.bit_count()
-    for h in enumerate_subgroups(group):
-        hsize = len(h)
-        if hsize >= n or hsize < 2:
-            continue
-        if product_mask(group, h.mask, smask).bit_count() <= hsize + ssize - slack:
-            return h.mask, "HS"
-        if product_mask(group, smask, h.mask).bit_count() <= hsize + ssize - slack:
-            return h.mask, "SH"
-    return None
+    found = _subgroup_cover(group, smask, slack)
+    if found is None:
+        return None
+    h, epsilon = found
+    return h.mask, "HS" if epsilon == 1 else "SH"
 
 
 def verify_mann(group: FiniteGroup, s: GroupSubset) -> MannVerdict:
@@ -646,23 +603,13 @@ def _two_coset_fragment_scan(
     n = group.order
     target = smask.bit_count() - 1
     tables = TranslateTables(group, smask)
-    xs = tables.xs_masks()
-    for h in enumerate_subgroups(group):
-        hsize = len(h)
-        if hsize < 2 or hsize * hsize > n:
-            continue
-        for a in range(1, n):
-            if h.mask >> a & 1:
-                continue
-            if double_coset_mask(group, h.mask, a).bit_count() != hsize * hsize:
-                continue
-            amask = h.mask | right_coset_mask(group, h.mask, a)
-            prod = _set_product_mask(xs, amask)
-            if (
-                prod.bit_count() - amask.bit_count() == target
-                and n - prod.bit_count() >= 2
-            ):
-                return h.mask, a
+    for h, a, amask in double_coset_pairs(group):
+        prod = tables.product(amask)
+        if (
+            prod.bit_count() - amask.bit_count() == target
+            and n - prod.bit_count() >= 2
+        ):
+            return h.mask, a
     return None
 
 
@@ -797,13 +744,9 @@ def verify_two_coset_theorem(
 def _subgroup_fragment(group: FiniteGroup, smask: int, kappa: int) -> Optional[int]:
     n = group.order
     tables = TranslateTables(group, smask)
-    xs = tables.xs_masks()
-    for h in enumerate_subgroups(group):
-        hsize = len(h)
-        if hsize < 2 or hsize >= n:
-            continue
-        prod = _set_product_mask(xs, h.mask)
-        if prod.bit_count() <= n - 2 and prod.bit_count() - hsize == kappa:
+    for h in _proper_subgroups(group):
+        prod = tables.product(h.mask)
+        if prod.bit_count() <= n - 2 and prod.bit_count() - len(h) == kappa:
             return h.mask
     return None
 
@@ -811,12 +754,5 @@ def _subgroup_fragment(group: FiniteGroup, smask: int, kappa: int) -> Optional[i
 def _pair_boundary_min(group: FiniteGroup, smask: int) -> Optional[int]:
     n = group.order
     tables = TranslateTables(group, smask)
-    xs = tables.xs_masks()
-    best = None
-    for g in range(1, n):
-        prod = xs[IDENTITY] | xs[g]
-        if prod.bit_count() <= n - 2:
-            b = prod.bit_count() - 2
-            if best is None or b < best:
-                best = b
-    return best
+    sizes = (tables.product(1 << IDENTITY | 1 << g).bit_count() for g in range(1, n))
+    return min((size - 2 for size in sizes if size <= n - 2), default=None)

@@ -502,6 +502,31 @@ def double_coset_mask(group: FiniteGroup, hmask: int, a: int) -> int:
     return out
 
 
+def double_coset_pairs(
+    group: FiniteGroup, size: Optional[int] = None
+) -> Iterator[tuple[GroupSubset, int, int]]:
+    """Lazily yield (H, a, mask of H u Ha) for every a outside H with |HaH| = |H|^2.
+
+    Subgroups come in :func:`enumerate_subgroups` order and a ascending.
+    Without ``size`` every H with 2 <= |H| and |H|^2 <= |G| is tried; with
+    it, exactly the subgroups of that order (size 1 included).  Nothing is
+    cached: on large groups almost every a qualifies.
+    """
+    n = group.order
+    for h in enumerate_subgroups(group):
+        hsize = len(h)
+        if size is None:
+            if hsize < 2 or hsize * hsize > n:
+                continue
+        elif hsize != size:
+            continue
+        for a in range(1, n):
+            if h.mask >> a & 1:
+                continue
+            if double_coset_mask(group, h.mask, a).bit_count() == hsize * hsize:
+                yield h, a, h.mask | right_coset_mask(group, h.mask, a)
+
+
 def double_coset_size(group: FiniteGroup, subgroup: GroupSubset, a: int) -> int:
     """|H a H|, computed by direct expansion."""
     if subgroup.group is not group:

@@ -165,7 +165,8 @@ class TranslateTables:
 
     ``xs(x)`` is the mask of x*S and ``neighbors(x)`` the mask of x*(S*S^-1),
     the adjacency used by the connected fragment search: two elements whose
-    product sets overlap are neighbors.
+    product sets overlap are neighbors.  :meth:`product` pays for n
+    translates once; a one-off product is cheaper with :func:`product_mask`.
     """
 
     __slots__ = ("group", "smask", "_xs", "_nbr", "_sinv_mask")
@@ -189,6 +190,14 @@ class TranslateTables:
             smask = self.smask
             self._xs = [permute_mask(smask, table[x]) for x in range(self.group.order)]
         return self._xs
+
+    def product(self, xmask: int) -> int:
+        """Mask of X*S, the union of the translates x*S for x in X."""
+        xs = self.xs_masks()
+        out = 0
+        for x in bit_indices(xmask):
+            out |= xs[x]
+        return out
 
     def neighbor_masks(self) -> list[int]:
         if self._nbr is None:
@@ -364,6 +373,10 @@ class _Tally:
     def fragment_sizes(self) -> list[int]:
         return sorted(s for s, b in self.best_by_size.items() if b == self.kappa)
 
+    def fragment_masks(self) -> list[int]:
+        masks = (m for size in self.fragment_sizes() for m in self.achievers[size])
+        return sorted(masks, key=indices_tuple)
+
 
 def _tally(
     admissible: Iterable[tuple[int, int, int]], k: int, atom_cap: int
@@ -437,9 +450,15 @@ def find_fragments(
     """All k-fragments containing the identity, of every admissible size."""
     _checked_input(s, k)
     tally = _tally(_admissible_sets(s.group, s.mask, k), k, cap)
-    masks = [m for size in tally.fragment_sizes() for m in tally.achievers[size]]
-    masks.sort(key=indices_tuple)
-    return tuple(GroupSubset(s.group, m) for m in masks)
+    return tuple(GroupSubset(s.group, m) for m in tally.fragment_masks())
+
+
+def _atoms_and_fragment_masks(s: GroupSubset, k: int) -> tuple[FragmentReport, list[int]]:
+    """``find_atoms(s, k)`` and the masks of ``find_fragments(s, k)`` from one scan."""
+    _checked_input(s, k)
+    tally = _tally(_admissible_sets(s.group, s.mask, k), k, DEFAULT_ATOM_CAP)
+    report = _fragment_report(s.group, k, tally, DEFAULT_ATOM_CAP, oracle_used=False)
+    return report, tally.fragment_masks()
 
 
 def _every_admissible_set(

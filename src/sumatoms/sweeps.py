@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .bitset import bit_indices, indices_tuple, permute_mask
 from .catalog import GroupSpec, build_group, catalog_specs
@@ -48,18 +48,17 @@ from .groups import (
     FiniteGroup,
     GroupSubset,
     closure_mask,
-    double_coset_mask,
-    enumerate_subgroups,
+    double_coset_pairs,
     generated_subgroup,
 )
 from .sumsets import (
     TranslateTables,
+    _atoms_and_fragment_masks,
+    _separability_witness,
     atom_translates,
     find_atoms,
-    find_fragments,
     oracle_atoms,
     product_mask,
-    _separability_witness,
 )
 
 T = TypeVar("T")
@@ -81,6 +80,14 @@ def _canonical_class_mask(group: FiniteGroup, smask: int) -> int:
         if best is None or key < best[0]:
             best = (key, t)
     return best[1]
+
+
+def _generating_subsets(group: FiniteGroup) -> Iterator[int]:
+    """Masks of the generating subsets with 1 and at least 2 elements, ascending."""
+    full = (1 << group.order) - 1
+    for smask in range(3, 1 << group.order, 2):
+        if closure_mask(group, indices_tuple(smask)) == full:
+            yield smask
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +122,12 @@ class SweepResult:
 def _main_theorem_group(spec: GroupSpec) -> MainTheoremRow:
     group = build_group(spec)
     n = group.order
-    full = (1 << n) - 1
     cache: dict[int, tuple[bool, Optional[int]]] = {}
-    subsets = generating = hyp_true = 0
+    generating = hyp_true = 0
     cases = {Case.CASE_I: 0, Case.CASE_II: 0, Case.CASE_III: 0}
     violations: list[str] = []
     unverified: list[str] = []
-    for smask in range(1, 1 << n, 2):
-        if smask.bit_count() < 2:
-            continue
-        subsets += 1
-        if closure_mask(group, indices_tuple(smask)) != full:
-            continue
+    for smask in _generating_subsets(group):
         generating += 1
         canon = _canonical_class_mask(group, smask)
         if canon in cache:
@@ -159,7 +160,7 @@ def _main_theorem_group(spec: GroupSpec) -> MainTheoremRow:
     return MainTheoremRow(
         group=spec.name,
         order=n,
-        subsets=subsets,
+        subsets=(1 << (n - 1)) - 1,
         generating=generating,
         hypothesis_true=hyp_true,
         case_i=cases[Case.CASE_I],
@@ -197,15 +198,9 @@ class OracleRow:
 
 def _oracle_group(spec: GroupSpec) -> OracleRow:
     group = build_group(spec)
-    n = group.order
-    full = (1 << n) - 1
     checked = 0
     mismatches: list[str] = []
-    for smask in range(1, 1 << n, 2):
-        if smask.bit_count() < 2:
-            continue
-        if closure_mask(group, indices_tuple(smask)) != full:
-            continue
+    for smask in _generating_subsets(group):
         if _separability_witness(group, smask, 2) is None:
             continue
         subset = GroupSubset(group, smask)
@@ -350,20 +345,15 @@ class IntersectionRow:
 def _intersection_group(spec: GroupSpec) -> IntersectionRow:
     group = build_group(spec)
     n = group.order
-    full = (1 << n) - 1
     pairwise = frag_checked = subgroup_checked = 0
     failures: list[str] = []
-    for smask in range(1, 1 << n, 2):
-        if smask.bit_count() < 2:
-            continue
-        if closure_mask(group, indices_tuple(smask)) != full:
-            continue
+    for smask in _generating_subsets(group):
         subset = GroupSubset(group, smask)
         name = f"{spec.name} S={subset.to_literal()}"
         sinv = subset.inverse_set()
         two_separable = _separability_witness(group, smask, 2) is not None
         if two_separable:
-            rep = find_atoms(subset, 2)
+            rep, fragments = _atoms_and_fragment_masks(subset, 2)
             rep_inv = find_atoms(sinv, 2)
             if rep.atoms_truncated:
                 failures.append(f"atom list truncated: {name}")
@@ -384,11 +374,7 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
                 failures.append(f"kappa differs under inversion: {name}")
             if rep.alpha <= rep_inv.alpha:
                 frag_checked += 1
-                fragments = find_fragments(subset, 2)
-                frag_masks = set()
-                for frag in fragments:
-                    for g in range(n):
-                        frag_masks.add(permute_mask(frag.mask, group.table[g]))
+                frag_masks = {permute_mask(f, row) for f in fragments for row in group.table}
                 bad_pair = False
                 for a in (x.mask for x in rep.atoms):
                     for f in frag_masks:
@@ -401,7 +387,7 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
                 if bad_pair:
                     failures.append(f"atom/fragment overlap: {name}")
         if _separability_witness(group, smask, 1) is not None:
-            rep1 = find_atoms(subset, 1)
+            rep1, fragments1 = _atoms_and_fragment_masks(subset, 1)
             rep1_inv = find_atoms(sinv, 1)
             if rep1.alpha <= rep1_inv.alpha:
                 subgroup_checked += 1
@@ -410,10 +396,7 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
                         failures.append(f"level-1 atom not a subgroup: {name}")
             if two_separable and rep.alpha <= rep_inv.alpha:
                 # level-1 atoms sit inside or entirely outside every fragment
-                frag_masks = set()
-                for frag in find_fragments(subset, 1):
-                    for g in range(n):
-                        frag_masks.add(permute_mask(frag.mask, group.table[g]))
+                frag_masks = {permute_mask(f, row) for f in fragments1 for row in group.table}
                 for atom in rep1.atoms:
                     for f in frag_masks:
                         if atom.mask & ~f and atom.mask & f:
@@ -459,18 +442,13 @@ def _certified_quotients(max_order: int) -> list[tuple[str, DirectedGraph]]:
         if spec.order < 6:
             continue
         group = build_group(spec)
-        for h in enumerate_subgroups(group):
-            if len(h) < 2 or len(h) > 3:
+        last = None
+        for h, picked, _ in double_coset_pairs(group):
+            if len(h) > 3:
+                break
+            if h == last:
                 continue
-            picked = None
-            for a in range(1, group.order):
-                if a in h:
-                    continue
-                if double_coset_mask(group, h.mask, a).bit_count() == len(h) ** 2:
-                    picked = a
-                    break
-            if picked is None:
-                continue
+            last = h
             graph = build_quotient_graph(group, h, picked)
             if not is_strongly_connected(graph):
                 continue

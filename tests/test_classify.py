@@ -132,6 +132,49 @@ def test_hypothesis_matches_exact_kappa():
         assert rep.holds == (kappa <= len(s) - 1)
 
 
+def test_structured_witness_below_the_exact_cap():
+    # hypothesis_holds only runs the structured scan above order 48, so it
+    # is checked directly here against the complete search and a literal
+    # one-sided cover scan, on S and on S^-1.
+    from sumatoms.classify import _structured_boundary_witness, coset_cover_witness
+    from sumatoms.sumsets import boundary_witness, product_mask
+
+    rng = random.Random(113)
+    specs = [s for s in catalog_specs(12) if s.order >= 4]
+    found = covered = 0
+    for _ in range(150):
+        spec = specs[rng.randrange(len(specs))]
+        group = build_group(spec)
+        n = group.order
+        size = rng.randint(2, n - 1)
+        s0 = GroupSubset.from_indices(group, [0] + rng.sample(range(1, n), size - 1))
+        for s in (s0, s0.inverse_set()):
+            target = len(s) - 1
+            x = _structured_boundary_witness(group, s.mask, target)
+            if x is not None:
+                found += 1
+                prod = product_mask(group, x, s.mask)
+                assert x.bit_count() >= 2
+                assert prod.bit_count() <= n - 2
+                assert (prod & ~x).bit_count() <= target
+                assert boundary_witness(group, s.mask, 2, target) is not None
+            literal = None
+            for h in enumerate_subgroups(group):
+                if not 2 <= len(h) < n:
+                    continue
+                if len(product_set(h, s)) <= len(h) + target:
+                    literal = (h.mask, "HS")
+                elif len(product_set(s, h)) <= len(h) + target:
+                    literal = (h.mask, "SH")
+                if literal is not None:
+                    break
+            w = find_case_ii_subgroup(group, s)
+            got = None if w is None else (w.subgroup.mask, "HS" if w.epsilon == 1 else "SH")
+            assert got == coset_cover_witness(group, s.mask, slack=1) == literal
+            covered += literal is not None
+    assert found > 50 and covered > 50
+
+
 # ---------------------------------------------------------------------------
 # Case detectors
 

@@ -20,6 +20,7 @@ from sumatoms import (
     right_coset_decomposition,
 )
 from sumatoms.catalog import build_group, catalog_specs
+from sumatoms.groups import double_coset_pairs
 
 
 def test_load_trivial_group():
@@ -186,6 +187,38 @@ def test_double_coset_multiple_of_subgroup():
             size = double_coset_size(group, h, a)
             assert size % len(h) == 0
             assert size <= len(h) ** 2
+
+
+def test_double_coset_pairs_match_brute_force():
+    # Every H and a outside H with |HaH| = |H|^2, built from the definitions,
+    # in enumerate_subgroups order and then ascending a.
+    for spec in catalog_specs(20):
+        group = build_group(spec)
+        n, t = group.order, group.table
+
+        def brute(keep):
+            out = []
+            for h in enumerate_subgroups(group):
+                if not keep(len(h)):
+                    continue
+                for a in range(n):
+                    if a in h:
+                        continue
+                    haH = {t[t[x][a]][y] for x in h for y in h}
+                    if len(haH) == len(h) ** 2:
+                        pair = h.mask
+                        for x in h:
+                            pair |= 1 << t[x][a]
+                        out.append((h.mask, a, pair))
+            return out
+
+        got = [(h.mask, a, pair) for h, a, pair in double_coset_pairs(group)]
+        assert got == brute(lambda size: size >= 2 and size * size <= n)
+        trivial = [(h.mask, a, pair) for h, a, pair in double_coset_pairs(group, 1)]
+        assert trivial == [(1, a, 1 | 1 << a) for a in range(1, n)]
+        for size in {len(h) for h in enumerate_subgroups(group)}:
+            got = [(h.mask, a, pair) for h, a, pair in double_coset_pairs(group, size)]
+            assert got == brute(lambda hsize: hsize == size)
 
 
 def test_right_coset_decomposition():
