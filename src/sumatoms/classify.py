@@ -33,6 +33,7 @@ from .groups import (
 from .sumsets import (
     TranslateTables,
     _separability_witness,
+    boundary,
     boundary_witness,
     find_atoms,
     maximal_left_period,
@@ -145,12 +146,6 @@ def _proper_subgroups(group: FiniteGroup) -> list[GroupSubset]:
     return [h for h in enumerate_subgroups(group) if 2 <= len(h) < n]
 
 
-def _sides(group: FiniteGroup, smask: int) -> tuple[tuple[int, TranslateTables], ...]:
-    """Translate tables of S and of S^-1, each with its exponent eps."""
-    tables = TranslateTables(group, smask)
-    return (1, tables), (-1, TranslateTables(group, tables.sinv_mask))
-
-
 def _converted_witness(group: FiniteGroup, xmask: int, prod: int) -> int:
     # A low-boundary set for S^-1 yields one for S: take its remainder.
     full = (1 << group.order) - 1
@@ -158,7 +153,7 @@ def _converted_witness(group: FiniteGroup, xmask: int, prod: int) -> int:
 
 
 def _structured_boundary_witness(
-    group: FiniteGroup, smask: int, target: int
+    tables: TranslateTables, target: int
 ) -> Optional[int]:
     """Cheap witness hunt: pairs, subgroups, then double-coset pairs H u Ha.
 
@@ -166,9 +161,10 @@ def _structured_boundary_witness(
     up to taking remainders, which converts a witness for one into one for
     the other).  Returns a witness for S or None; incomplete by design.
     """
+    group = tables.group
     n = group.order
     limit = n - 2
-    sides = _sides(group, smask)
+    sides = ((1, tables), (-1, tables.inverse()))
     families = (
         lambda: ((1 << IDENTITY) | (1 << g) for g in range(1, n)),
         lambda: (h.mask for h in _proper_subgroups(group)),
@@ -207,7 +203,7 @@ def hypothesis_holds(group: FiniteGroup, s: GroupSubset) -> HypothesisReport:
     target = len(s1) - 1
     witness_mask: Optional[int] = None
     if n > HYPOTHESIS_EXACT_CAP:
-        witness_mask = _structured_boundary_witness(group, s1.mask, target)
+        witness_mask = _structured_boundary_witness(s1.translates, target)
     if witness_mask is None:
         witness_mask = boundary_witness(group, s1.mask, 2, target)
     separable = (
@@ -236,12 +232,12 @@ def detect_geometric_progression(
     if len(s) < 2:
         raise PreconditionError(f"need at least 2 elements, got {len(s)}")
     n = group.order
-    table = group.table
+    left = s.translates.xs_masks()
     m = len(s)
     for side in ("left", "right"):
         for g in range(n):
             if side == "left":
-                t = permute_mask(s.mask, table[g])
+                t = left[g]
             else:
                 t = permute_mask(s.mask, group.column(g))
             if not t & 1:
@@ -267,16 +263,16 @@ def _is_progression(group: FiniteGroup, t: int, a: int, m: int) -> bool:
 
 
 def _subgroup_cover(
-    group: FiniteGroup, smask: int, slack: int
+    tables: TranslateTables, slack: int
 ) -> Optional[tuple[GroupSubset, int]]:
     """First proper nontrivial H, with eps, such that |H S^eps| <= |H| + |S| - slack.
 
     S is tried before S^-1 for each H; |H S^-1| = |S H|, so this is also
     the one-sided cover scan "HS before SH".
     """
-    bound = smask.bit_count() - slack
-    sides = _sides(group, smask)
-    for h in _proper_subgroups(group):
+    bound = tables.smask.bit_count() - slack
+    sides = ((1, tables), (-1, tables.inverse()))
+    for h in _proper_subgroups(tables.group):
         for epsilon, tab in sides:
             if tab.product(h.mask).bit_count() <= len(h) + bound:
                 return h, epsilon
@@ -287,7 +283,7 @@ def find_case_ii_subgroup(
     group: FiniteGroup, s: GroupSubset
 ) -> Optional[CaseIIWitness]:
     """Smallest proper nontrivial subgroup with |H S^eps| <= |H| + |S| - 1."""
-    found = _subgroup_cover(group, s.mask, 1)
+    found = _subgroup_cover(s.translates, 1)
     return CaseIIWitness(*found) if found is not None else None
 
 
@@ -307,7 +303,8 @@ def find_case_iii_witness(
     hsize_required = (n + 1 - ssize) // 4
     if hsize_required < 1 or hsize_required * hsize_required > n:
         return None
-    sides = _sides(group, s.mask)
+    tables = s.translates
+    sides = ((1, tables), (-1, tables.inverse()))
     for h, a, amask in double_coset_pairs(group, hsize_required):
         for epsilon, tab in sides:
             if tab.product(amask).bit_count() == n - amask.bit_count():
@@ -442,20 +439,12 @@ def classify(
         transcript.insert(
             0,
             entry(
-                "hypothesis_boundary",
-                _boundary_of(group, s1, hyp.witness),
-                "<=",
-                len(s1) - 1,
+                "hypothesis_boundary", len(boundary(s1, hyp.witness)), "<=", len(s1) - 1
             ),
         )
     return ClassificationResult(
         Case.VIOLATION, None, tuple(transcript), s1, hyp.translator
     )
-
-
-def _boundary_of(group: FiniteGroup, s: GroupSubset, x: GroupSubset) -> int:
-    prod = product_mask(group, x.mask, s.mask)
-    return (prod & ~x.mask).bit_count()
 
 
 @dataclass(frozen=True)
@@ -506,15 +495,15 @@ class MannVerdict:
     translator: int
 
 
+_COVER_SIDE = {1: "HS", -1: "SH"}
+
+
 def coset_cover_witness(
     group: FiniteGroup, smask: int, slack: int = 2
 ) -> Optional[tuple[int, str]]:
     """A proper subgroup H with |HS| or |SH| <= |H| + |S| - slack, if any."""
-    found = _subgroup_cover(group, smask, slack)
-    if found is None:
-        return None
-    h, epsilon = found
-    return h.mask, "HS" if epsilon == 1 else "SH"
+    found = _subgroup_cover(TranslateTables(group, smask), slack)
+    return None if found is None else (found[0].mask, _COVER_SIDE[found[1]])
 
 
 def verify_mann(group: FiniteGroup, s: GroupSubset) -> MannVerdict:
@@ -537,12 +526,12 @@ def verify_mann(group: FiniteGroup, s: GroupSubset) -> MannVerdict:
         hypothesis = (
             boundary_witness(group, s1.mask, 1, len(s1) - 2) is not None
         )
-    witness = coset_cover_witness(group, s1.mask) if hypothesis else None
+    found = _subgroup_cover(s1.translates, 2) if hypothesis else None
     return MannVerdict(
         hypothesis=hypothesis,
-        witness_subgroup=GroupSubset(group, witness[0]) if witness else None,
-        witness_side=witness[1] if witness else None,
-        consistent=(not hypothesis) or witness is not None,
+        witness_subgroup=found[0] if found else None,
+        witness_side=_COVER_SIDE[found[1]] if found else None,
+        consistent=(not hypothesis) or found is not None,
         normalized=s1,
         translator=norm.translator,
     )
@@ -573,10 +562,11 @@ class TwoCosetVerdict:
 
 
 def _two_coset_conclusion(
-    group: FiniteGroup, smask: int, hmask: int, amask: int
+    tables: TranslateTables, hmask: int, amask: int
 ) -> list[TranscriptEntry]:
-    hs = product_mask(group, hmask, smask)
-    as_ = product_mask(group, amask, smask)
+    group = tables.group
+    hs = tables.product(hmask)
+    as_ = tables.product(amask)
     full = (1 << group.order) - 1
     comp = full & ~hs
     parts = right_coset_decomposition(
@@ -595,15 +585,12 @@ def _two_coset_conclusion(
     return out
 
 
-def _two_coset_fragment_scan(
-    group: FiniteGroup, smask: int
-) -> Optional[tuple[int, int]]:
+def _two_coset_fragment_scan(tables: TranslateTables) -> Optional[tuple[int, int]]:
     """A subgroup H (|H| >= 2) and a with |HaH| = |H|^2 making H u Ha a
     minimum-boundary candidate: boundary exactly |S| - 1 and remainder >= 2."""
-    n = group.order
-    target = smask.bit_count() - 1
-    tables = TranslateTables(group, smask)
-    for h, a, amask in double_coset_pairs(group):
+    n = tables.group.order
+    target = tables.smask.bit_count() - 1
+    for h, a, amask in double_coset_pairs(tables.group):
         prod = tables.product(amask)
         if (
             prod.bit_count() - amask.bit_count() == target
@@ -644,6 +631,7 @@ def verify_two_coset_theorem(
         return TwoCosetVerdict(False, None, tuple(pre), None, None, (), s1)
 
     target = len(s1) - 1
+    tables = s1.translates
     candidates: list[tuple[int, int]] = []
     if n <= exact_cap:
         try:
@@ -664,7 +652,7 @@ def verify_two_coset_theorem(
             n >= 2 * rep2.alpha + kappa2,
             f"|G| = {n}, alpha_2 = {rep2.alpha}, kappa_2 = {kappa2}",
         )
-        frag_subgroup = _subgroup_fragment(group, s1.mask, kappa2)
+        frag_subgroup = _subgroup_fragment(tables, kappa2)
         status(
             "no_subgroup_fragment",
             frag_subgroup is None,
@@ -683,20 +671,20 @@ def verify_two_coset_theorem(
             f"{len(candidates)} atom(s) of the form H u Ha",
         )
     else:
-        found = _two_coset_fragment_scan(group, s1.mask)
+        found = _two_coset_fragment_scan(tables)
         status(
             "two_coset_fragment",
             found is not None,
             "a double-coset pair achieves boundary |S| - 1",
         )
-        cover = coset_cover_witness(group, s1.mask)
+        cover = _subgroup_cover(tables, 2)
         status(
             "kappa1_certificate",
             cover is None,
             "no one-sided subgroup cover within |H| + |S| - 2, so kappa_1 >= |S| - 1",
         )
         if found is not None:
-            frag_subgroup = _subgroup_fragment(group, s1.mask, target)
+            frag_subgroup = _subgroup_fragment(tables, target)
             status(
                 "no_subgroup_fragment",
                 frag_subgroup is None,
@@ -709,7 +697,7 @@ def verify_two_coset_theorem(
                 n >= 2 * asize + target,
                 f"|G| = {n}, candidate size {asize}, boundary {target}",
             )
-            pair = _pair_boundary_min(group, s1.mask)
+            pair = _pair_boundary_min(tables)
             status(
                 "no_two_element_fragment",
                 pair is None or pair > target,
@@ -728,7 +716,7 @@ def verify_two_coset_theorem(
     transcript: list[TranscriptEntry] = []
     for hmask, a in candidates:
         amask = hmask | right_coset_mask(group, hmask, a)
-        transcript.extend(_two_coset_conclusion(group, s1.mask, hmask, amask))
+        transcript.extend(_two_coset_conclusion(tables, hmask, amask))
     hmask, a = candidates[0]
     return TwoCosetVerdict(
         applicable=True,
@@ -741,18 +729,16 @@ def verify_two_coset_theorem(
     )
 
 
-def _subgroup_fragment(group: FiniteGroup, smask: int, kappa: int) -> Optional[int]:
-    n = group.order
-    tables = TranslateTables(group, smask)
-    for h in _proper_subgroups(group):
+def _subgroup_fragment(tables: TranslateTables, kappa: int) -> Optional[int]:
+    n = tables.group.order
+    for h in _proper_subgroups(tables.group):
         prod = tables.product(h.mask)
         if prod.bit_count() <= n - 2 and prod.bit_count() - len(h) == kappa:
             return h.mask
     return None
 
 
-def _pair_boundary_min(group: FiniteGroup, smask: int) -> Optional[int]:
-    n = group.order
-    tables = TranslateTables(group, smask)
+def _pair_boundary_min(tables: TranslateTables) -> Optional[int]:
+    n = tables.group.order
     sizes = (tables.product(1 << IDENTITY | 1 << g).bit_count() for g in range(1, n))
     return min((size - 2 for size in sizes if size <= n - 2), default=None)

@@ -542,10 +542,10 @@ def arc_connectivity(
                 atoms_complete=enum.atoms_complete,
                 method="flow+enumeration",
             )
-        best_sides = [s for s in sides if _outgoing(graph.out_masks, s) == lam]
-        smallest = min(m.bit_count() for m in best_sides)
+        min_cuts = [s for s in sides if _outgoing(graph.out_masks, s) == lam]
+        smallest = min(m.bit_count() for m in min_cuts)
         atoms = sorted(
-            {indices_tuple(m) for m in best_sides if m.bit_count() == smallest}
+            {indices_tuple(m) for m in min_cuts if m.bit_count() == smallest}
         )
         return ArcCutReport(
             k=1,

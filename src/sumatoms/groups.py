@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .errors import (
     SizeCapError,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    from .sumsets import TranslateTables
 
 DEFAULT_ORDER_CAP = 2048
 IDENTITY = 0
@@ -245,6 +249,16 @@ class GroupSubset:
     def right_translate(self, g: int) -> "GroupSubset":
         """X*g."""
         return GroupSubset(self.group, permute_mask(self.mask, self.group.column(g)))
+
+    @cached_property
+    def translates(self) -> TranslateTables:
+        """The translate tables of this set, built once per set object.
+
+        Not a field: equality, hashing and repr ignore it.
+        """
+        from .sumsets import TranslateTables
+
+        return TranslateTables(self.group, self.mask)
 
     def is_subgroup(self) -> bool:
         if not self.mask & 1:

@@ -16,13 +16,11 @@ from .classify import (
     CaseIWitness,
     ClassificationResult,
     CorollaryVerdict,
-    MannVerdict,
     TranscriptEntry,
-    TwoCosetVerdict,
 )
 from .digraphs import ArcCutReport
 from .groups import FiniteGroup, GroupSubset
-from .sumsets import FragmentReport, IntersectionVerdict
+from .sumsets import FragmentReport
 from .sweeps import SweepResult
 
 KV = list[tuple[str, object]]
@@ -132,43 +130,6 @@ def corollary_pairs(verdict: CorollaryVerdict) -> KV:
         ("corollary.passed", verdict.passed),
     ]
     pairs.extend(transcript_pairs("corollary.transcript", verdict.transcript))
-    return pairs
-
-
-def intersection_pairs(verdict: IntersectionVerdict) -> KV:
-    pairs: KV = [
-        ("intersection.k", verdict.k),
-        ("intersection.applicable", verdict.applicable),
-        ("intersection.holds", verdict.holds),
-        ("intersection.kappa", verdict.kappa),
-        ("intersection.alpha", verdict.alpha),
-        ("intersection.atom_count", verdict.atom_count),
-    ]
-    if verdict.counterexample is not None:
-        pairs.append(("intersection.counterexample.a", verdict.counterexample[0]))
-        pairs.append(("intersection.counterexample.b", verdict.counterexample[1]))
-    return pairs
-
-
-def mann_pairs(verdict: MannVerdict) -> KV:
-    return [
-        ("mann.hypothesis", verdict.hypothesis),
-        ("mann.witness_subgroup", verdict.witness_subgroup),
-        ("mann.witness_side", verdict.witness_side),
-        ("mann.consistent", verdict.consistent),
-    ]
-
-
-def two_coset_pairs(verdict: TwoCosetVerdict) -> KV:
-    pairs: KV = [
-        ("two_coset.applicable", verdict.applicable),
-        ("two_coset.holds", verdict.holds),
-        ("two_coset.atom_subgroup", verdict.atom_subgroup),
-        ("two_coset.atom_translate", verdict.atom_translate),
-    ]
-    for i, p in enumerate(verdict.preconditions):
-        pairs.append((f"two_coset.precondition.{i}", f"{p.name} {p.status}"))
-    pairs.extend(transcript_pairs("two_coset.transcript", verdict.transcript))
     return pairs
 
 

@@ -163,13 +163,16 @@ def remainder(s: GroupSubset, x: GroupSubset) -> GroupSubset:
 class TranslateTables:
     """Lazy per-element translate masks for one (group, set) pair.
 
-    ``xs(x)`` is the mask of x*S and ``neighbors(x)`` the mask of x*(S*S^-1),
-    the adjacency used by the connected fragment search: two elements whose
-    product sets overlap are neighbors.  :meth:`product` pays for n
-    translates once; a one-off product is cheaper with :func:`product_mask`.
+    ``xs_masks()[x]`` is the mask of x*S and ``neighbor_masks()[x]`` the mask
+    of x*(S*S^-1) without x, the adjacency used by the connected fragment
+    search: two elements whose product sets overlap are neighbors.
+    :meth:`product` pays for n translates once; a one-off product is cheaper
+    with :func:`product_mask`.  The tables of a set are owned by the set:
+    ``GroupSubset.translates`` builds them once per set object, and
+    :meth:`inverse` builds those of S^-1 once per table.
     """
 
-    __slots__ = ("group", "smask", "_xs", "_nbr", "_sinv_mask")
+    __slots__ = ("group", "smask", "_xs", "_nbr", "_sinv_mask", "_inv")
 
     def __init__(self, group: FiniteGroup, smask: int) -> None:
         self.group = group
@@ -177,12 +180,21 @@ class TranslateTables:
         self._xs: Optional[list[int]] = None
         self._nbr: Optional[list[int]] = None
         self._sinv_mask: Optional[int] = None
+        self._inv: Optional[TranslateTables] = None
 
     @property
     def sinv_mask(self) -> int:
         if self._sinv_mask is None:
             self._sinv_mask = permute_mask(self.smask, self.group.inverse)
         return self._sinv_mask
+
+    def inverse(self) -> "TranslateTables":
+        """The tables of S^-1, built on first use; ``self`` when S = S^-1."""
+        if self.sinv_mask == self.smask:
+            return self
+        if self._inv is None:
+            self._inv = TranslateTables(self.group, self.sinv_mask)
+        return self._inv
 
     def xs_masks(self) -> list[int]:
         if self._xs is None:
@@ -547,6 +559,15 @@ def atom_translates(report: FragmentReport, group: FiniteGroup) -> list[int]:
     return out
 
 
+def _overlapping_pair(masks: list[int], k: int) -> Optional[tuple[int, int]]:
+    """The first pair of masks, in list order, meeting in more than k-1 points."""
+    for i, a in enumerate(masks):
+        for b in masks[i + 1 :]:
+            if (a & b).bit_count() > k - 1:
+                return a, b
+    return None
+
+
 def check_intersection_property(s: GroupSubset, k: int) -> IntersectionVerdict:
     """Verify that distinct k-atoms meet in at most k-1 points.
 
@@ -560,15 +581,10 @@ def check_intersection_property(s: GroupSubset, k: int) -> IntersectionVerdict:
     holds: Optional[bool] = None
     counterexample = None
     if applicable:
-        holds = True
-        for i, a in enumerate(all_atoms):
-            for b in all_atoms[i + 1 :]:
-                if (a & b).bit_count() > k - 1:
-                    holds = False
-                    counterexample = (GroupSubset(group, a), GroupSubset(group, b))
-                    break
-            if not holds:
-                break
+        pair = _overlapping_pair(all_atoms, k)
+        holds = pair is None
+        if pair is not None:
+            counterexample = (GroupSubset(group, pair[0]), GroupSubset(group, pair[1]))
     return IntersectionVerdict(
         k=k,
         applicable=applicable,

@@ -54,6 +54,7 @@ from .groups import (
 from .sumsets import (
     TranslateTables,
     _atoms_and_fragment_masks,
+    _overlapping_pair,
     _separability_witness,
     atom_translates,
     find_atoms,
@@ -360,15 +361,7 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
             atoms_all = atom_translates(rep, group)
             if n >= 2 * rep.alpha + rep.kappa:
                 pairwise += 1
-                overlap = False
-                for i, a in enumerate(atoms_all):
-                    for b in atoms_all[i + 1 :]:
-                        if (a & b).bit_count() > 1:
-                            overlap = True
-                            break
-                    if overlap:
-                        break
-                if overlap:
+                if _overlapping_pair(atoms_all, 2) is not None:
                     failures.append(f"atom pair overlap: {name}")
             if rep.kappa != rep_inv.kappa:
                 failures.append(f"kappa differs under inversion: {name}")

@@ -1,4 +1,7 @@
+import io
 import random
+import sys
+from contextlib import redirect_stdout
 from itertools import combinations
 
 import pytest
@@ -150,7 +153,7 @@ def test_structured_witness_below_the_exact_cap():
         s0 = GroupSubset.from_indices(group, [0] + rng.sample(range(1, n), size - 1))
         for s in (s0, s0.inverse_set()):
             target = len(s) - 1
-            x = _structured_boundary_witness(group, s.mask, target)
+            x = _structured_boundary_witness(s.translates, target)
             if x is not None:
                 found += 1
                 prod = product_mask(group, x, s.mask)
@@ -173,6 +176,49 @@ def test_structured_witness_below_the_exact_cap():
             assert got == coset_cover_witness(group, s.mask, slack=1) == literal
             covered += literal is not None
     assert found > 50 and covered > 50
+
+
+def test_violation_branch_when_no_case_fits(monkeypatch):
+    # No input reaches VIOLATION while the theorem holds, so the three
+    # detectors are silenced to exercise the branch and its exit code.
+    from sumatoms.cli import main
+
+    module = sys.modules["sumatoms.classify"]
+    for name in (
+        "detect_geometric_progression",
+        "find_case_ii_subgroup",
+        "find_case_iii_witness",
+    ):
+        monkeypatch.setattr(module, name, lambda group, s: None)
+    c7 = make_cyclic(7)
+    result = classify(c7, subset(c7, 0, 1, 2))
+    assert result.case is Case.VIOLATION and result.witness is None
+    first = result.transcript[0]
+    assert first.name == "hypothesis_boundary" and first.passed
+    assert not result.verified
+    with redirect_stdout(io.StringIO()):
+        assert main(["classify", "--cyclic", "7", "--set", "0 1 2"]) == 4
+
+
+def test_scans_share_one_table_per_side(monkeypatch):
+    # Every scan of one call reads the tables of the normalized set and of
+    # its inverse, so a call builds at most two.
+    sumsets = sys.modules["sumatoms.sumsets"]
+    xs_masks = sumsets.TranslateTables.xs_masks
+    built = []
+
+    def counting(self):
+        if self._xs is None:
+            built.append(self.smask)
+        return xs_masks(self)
+
+    monkeypatch.setattr(sumsets.TranslateTables, "xs_masks", counting)
+    for p, q in ((11, 5), (23, 11)):
+        inst = build_example(p, q)
+        for check in (classify, verify_two_coset_theorem):
+            built.clear()
+            check(inst.group, GroupSubset(inst.group, inst.subset.mask))
+            assert 1 <= len(built) <= 2, (p, q, check.__name__, len(built))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from sumatoms import (
 from sumatoms.bitset import indices_tuple
 from sumatoms.catalog import build_group, catalog_specs
 from sumatoms.groups import closure_mask
-from sumatoms.sumsets import _separability_witness, boundary_witness
+from sumatoms.sumsets import _separability_witness, boundary_witness, product_mask
 
 
 def subset(group, *indices):
@@ -55,6 +55,34 @@ def test_product_set_examples():
     assert product_set(s, s).indices() == (0, 1, 2)
     inst = build_example(7, 3)
     assert product_set(inst.pair, inst.subset).mask == inst.pair.complement().mask
+
+
+def test_translate_tables_inverse():
+    inst = build_example(7, 3)
+    for s in (inst.subgroup, inst.subset):
+        assert s.inverse_set() == s
+        assert s.translates.inverse() is s.translates
+    rng = random.Random(61)
+    specs = catalog_specs(12)
+    asymmetric = 0
+    for _ in range(80):
+        group = build_group(specs[rng.randrange(len(specs))])
+        n = group.order
+        s = GroupSubset.from_indices(group, rng.sample(range(n), rng.randint(1, n)))
+        tables = s.translates
+        assert s.translates is tables
+        inv = tables.inverse()
+        sinv = s.inverse_set().mask
+        assert inv.smask == sinv and tables.inverse() is inv
+        assert (inv is tables) == (sinv == s.mask)
+        asymmetric += inv is not tables
+        for _ in range(5):
+            x = rng.getrandbits(n)
+            assert inv.product(x) == product_mask(group, x, sinv)
+        # the tables are not a field
+        copy = GroupSubset(group, s.mask)
+        assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
+    assert asymmetric > 20
 
 
 def test_boundary_and_remainder():
