@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .bitset import bit_indices, permute_mask
+from .bitset import bit_indices, mask_from_indices, permute_mask
 from .errors import PreconditionError
 from .groups import (
     IDENTITY,
@@ -231,35 +231,33 @@ def detect_geometric_progression(
     """First (side, g, a) making gS or Sg equal to {1, a, a^2, ...}, if any."""
     if len(s) < 2:
         raise PreconditionError(f"need at least 2 elements, got {len(s)}")
-    n = group.order
-    left = s.translates.xs_masks()
     m = len(s)
+    # m distinct powers of a need ord(a) >= m; the identity never qualifies.
+    long = mask_from_indices(a for a in range(group.order) if group.element_order(a) >= m)
+    if not long:
+        return None
+    left = s.translates.xs_masks()
+    # gS and Sg contain 1 exactly when g lies in S^-1.
+    starts = s.inverse_set().mask
     for side in ("left", "right"):
-        for g in range(n):
-            if side == "left":
-                t = left[g]
-            else:
-                t = permute_mask(s.mask, group.column(g))
-            if not t & 1:
-                continue
-            for a in bit_indices(t & ~1):
+        for g in bit_indices(starts):
+            t = left[g] if side == "left" else permute_mask(s.mask, group.column(g))
+            for a in bit_indices(t & long):
                 if _is_progression(group, t, a, m):
                     return CaseIWitness(side=side, g=g, a=a)
     return None
 
 
 def _is_progression(group: FiniteGroup, t: int, a: int, m: int) -> bool:
-    # Walk 1, a, a^2, ...; powers must stay inside t and not repeat early.
-    seen = 1 << IDENTITY
+    # ord(a) >= m keeps 1, a, ..., a^(m-1) distinct, so the m-element set t
+    # is that progression exactly when it holds every one of those powers.
     x = IDENTITY
     row = group.table[a]
     for _ in range(m - 1):
         x = row[x]
-        bit = 1 << x
-        if not t & bit or seen & bit:
+        if not t >> x & 1:
             return False
-        seen |= bit
-    return seen == t
+    return True
 
 
 def _subgroup_cover(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .bitset import bit_indices, indices_tuple, permute_mask
+from .bitset import bit_indices, indices_tuple, mask_from_indices, permute_mask
 from .errors import (
     DisconnectedGraphError,
     EngineMismatchError,
@@ -26,6 +26,9 @@ from .errors import (
 from .groups import FiniteGroup, GroupSubset, double_coset_mask, right_coset_mask
 
 DEFAULT_EXACT_CUT_CAP = 16
+EXHAUSTIVE_CUT_CAP = 22
+FLOW_WORK_CAP = 200_000
+CUT_ATOM_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -61,9 +64,6 @@ class DirectedGraph:
             for v in bit_indices(m):
                 ins[v] |= 1 << u
         return tuple(ins)
-
-    def out_degree(self, u: int) -> int:
-        return self.out_masks[u].bit_count()
 
 
 def graph_from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> DirectedGraph:
@@ -304,6 +304,13 @@ def is_strongly_connected(graph: DirectedGraph) -> bool:
     )
 
 
+def _require_k_separable(graph: DirectedGraph, k: int) -> None:
+    if graph.vertex_count < 2 * k:
+        raise PreconditionError(f"graph is not {k}-separable")
+    if not is_strongly_connected(graph):
+        raise DisconnectedGraphError("graph is not strongly connected")
+
+
 @dataclass(frozen=True)
 class ArcCutReport:
     """Arc connectivity at level k, with the minimum cuts of least size."""
@@ -317,7 +324,10 @@ class ArcCutReport:
 
 
 def _max_flow_unit(cap: list[list[int]], s: int, t: int) -> tuple[int, int]:
-    """Augmenting-path max flow; returns (value, residual-reachable mask)."""
+    """Augmenting-path max flow; returns (value, residual-reachable mask).
+
+    ``cap`` is only read, so callers may pass one matrix to many runs.
+    """
     n = len(cap)
     flow = [[0] * n for _ in range(n)]
     total = 0
@@ -372,13 +382,12 @@ def _unit_capacity_matrix(graph: DirectedGraph) -> list[list[int]]:
 def _flow_lambda1(graph: DirectedGraph) -> tuple[int, list[int]]:
     """Global minimum arc cut by flows pinned at vertex 0, plus cut sides found."""
     n = graph.vertex_count
-    base = _unit_capacity_matrix(graph)
+    cap = _unit_capacity_matrix(graph)
     best = None
     sides: list[int] = []
     full = (1 << n) - 1
     for t in range(1, n):
         for s, sink in ((0, t), (t, 0)):
-            cap = [row[:] for row in base]
             value, reach = _max_flow_unit(cap, s, sink)
             side = reach & full
             if best is None or value < best:
@@ -389,30 +398,25 @@ def _flow_lambda1(graph: DirectedGraph) -> tuple[int, list[int]]:
     return best, sides
 
 
-def arc_connectivity_flow(
-    graph: DirectedGraph, k: int, *, work_cap: int = 200_000
-) -> int:
+def arc_connectivity_flow(graph: DirectedGraph, k: int) -> int:
     """Exact k-arc-connectivity via flows with pinned k-element terminals.
 
     Every admissible cut C contains some k of its vertices and misses some k
     others, so contracting each (source k-set, sink k-set) pair and taking
     the minimum flow value is exact.  Cost grows as C(n,k)^2; guarded by
-    ``work_cap``.
+    ``FLOW_WORK_CAP``.
     """
     n = graph.vertex_count
-    if n < 2 * k:
-        raise PreconditionError(f"graph is not {k}-separable")
-    if not is_strongly_connected(graph):
-        raise DisconnectedGraphError("graph is not strongly connected")
+    _require_k_separable(graph, k)
     if k == 1:
         value, _ = _flow_lambda1(graph)
         return value
     from math import comb
 
     pairs = comb(n, k) * comb(n - k, k)
-    if pairs > work_cap:
+    if pairs > FLOW_WORK_CAP:
         raise GraphTooLargeError(
-            f"pinned-terminal flow needs {pairs} flow runs, cap {work_cap}"
+            f"pinned-terminal flow needs {pairs} flow runs, cap {FLOW_WORK_CAP}"
         )
     base = _unit_capacity_matrix(graph)
     big = graph.arc_count + 1
@@ -435,33 +439,27 @@ def arc_connectivity_flow(
     return best
 
 
-def arc_connectivity_exhaustive(
-    graph: DirectedGraph, k: int, *, cap: int = 22, atom_cap: int = 256
+def _least_cuts(
+    graph: DirectedGraph, k: int, cuts: Iterable[int], method: str
 ) -> ArcCutReport:
-    """Plain scan of every vertex subset with k <= |C| <= n-k."""
-    n = graph.vertex_count
-    if n > cap:
-        raise GraphTooLargeError(f"{n} vertices exceeds exhaustive cap {cap}")
-    if n < 2 * k:
-        raise PreconditionError(f"graph is not {k}-separable")
-    if not is_strongly_connected(graph):
-        raise DisconnectedGraphError("graph is not strongly connected")
+    """Tally cuts by fewest outgoing arcs, then fewest vertices.
+
+    Atoms are kept in visit order up to ``CUT_ATOM_CAP``, so a truncated
+    list depends on the order of ``cuts``.
+    """
     out = graph.out_masks
     lam = None
     alpha = None
     atoms: list[int] = []
     count = 0
-    hi = n - k
-    for cmask in range(1, 1 << n):
-        size = cmask.bit_count()
-        if size < k or size > hi:
-            continue
+    for cmask in cuts:
         e = _outgoing(out, cmask)
+        size = cmask.bit_count()
         if lam is None or e < lam or (e == lam and size < alpha):
             lam, alpha, atoms, count = e, size, [cmask], 1
         elif e == lam and size == alpha:
             count += 1
-            if len(atoms) < atom_cap:
+            if len(atoms) < CUT_ATOM_CAP:
                 atoms.append(cmask)
     return ArcCutReport(
         k=k,
@@ -469,42 +467,20 @@ def arc_connectivity_exhaustive(
         atoms=tuple(sorted(indices_tuple(m) for m in atoms)),
         separable=True,
         atoms_complete=count == len(atoms),
-        method="exhaustive",
+        method=method,
     )
 
 
-def _bounded_sweep(
-    graph: DirectedGraph, k: int, atom_cap: int
-) -> ArcCutReport:
-    # Exact on connected arc-transitive graphs: arc k-atoms have at most
-    # max(k, 2k-2) vertices there, so sweeping the small sizes finds lambda.
+def arc_connectivity_exhaustive(graph: DirectedGraph, k: int) -> ArcCutReport:
+    """Plain scan of every vertex subset with k <= |C| <= n-k, in mask order."""
     n = graph.vertex_count
-    out = graph.out_masks
-    size_hi = min(max(k, 2 * k - 2), n - k)
-    lam = None
-    alpha = None
-    atoms: list[int] = []
-    count = 0
-    for size in range(k, size_hi + 1):
-        for combo in combinations(range(n), size):
-            cmask = 0
-            for v in combo:
-                cmask |= 1 << v
-            e = _outgoing(out, cmask)
-            if lam is None or e < lam:
-                lam, alpha, atoms, count = e, size, [cmask], 1
-            elif e == lam and size == alpha:
-                count += 1
-                if len(atoms) < atom_cap:
-                    atoms.append(cmask)
-    return ArcCutReport(
-        k=k,
-        lam=lam,
-        atoms=tuple(sorted(indices_tuple(m) for m in atoms)),
-        separable=True,
-        atoms_complete=count == len(atoms),
-        method="transitive-sweep",
-    )
+    if n > EXHAUSTIVE_CUT_CAP:
+        raise GraphTooLargeError(
+            f"{n} vertices exceeds exhaustive cap {EXHAUSTIVE_CUT_CAP}"
+        )
+    _require_k_separable(graph, k)
+    cuts = (c for c in range(1, 1 << n) if k <= c.bit_count() <= n - k)
+    return _least_cuts(graph, k, cuts, "exhaustive")
 
 
 def arc_connectivity(
@@ -513,7 +489,6 @@ def arc_connectivity(
     *,
     arc_transitive: bool = False,
     exact_cap: int = DEFAULT_EXACT_CUT_CAP,
-    atom_cap: int = 256,
 ) -> ArcCutReport:
     """Exact lambda_k with all minimum cuts of least cardinality.
 
@@ -522,14 +497,11 @@ def arc_connectivity(
     exact for arc-transitive graphs (caller asserts transitivity).
     """
     n = graph.vertex_count
-    if n < 2 * k:
-        raise PreconditionError(f"graph is not {k}-separable")
-    if not is_strongly_connected(graph):
-        raise DisconnectedGraphError("graph is not strongly connected")
+    _require_k_separable(graph, k)
     if k == 1:
         lam, sides = _flow_lambda1(graph)
         if n <= exact_cap:
-            enum = arc_connectivity_exhaustive(graph, 1, cap=exact_cap, atom_cap=atom_cap)
+            enum = arc_connectivity_exhaustive(graph, 1)
             if enum.lam != lam:
                 raise EngineMismatchError(
                     f"flow/enumeration disagree on lambda_1: {lam} vs {enum.lam}"
@@ -556,9 +528,13 @@ def arc_connectivity(
             method="flow",
         )
     if n <= exact_cap:
-        return arc_connectivity_exhaustive(graph, k, cap=exact_cap, atom_cap=atom_cap)
+        return arc_connectivity_exhaustive(graph, k)
     if arc_transitive:
-        return _bounded_sweep(graph, k, atom_cap)
+        # Exact on connected arc-transitive graphs: arc k-atoms have at most
+        # max(k, 2k-2) vertices there, so sweeping the small sizes finds lambda.
+        sizes = range(k, min(max(k, 2 * k - 2), n - k) + 1)
+        cuts = (mask_from_indices(c) for size in sizes for c in combinations(range(n), size))
+        return _least_cuts(graph, k, cuts, "transitive-sweep")
     raise GraphTooLargeError(
         f"exact cuts need <= {exact_cap} vertices unless arc-transitivity is asserted"
     )
@@ -602,9 +578,7 @@ def contains_k4_star(graph: DirectedGraph) -> Optional[tuple[int, int, int, int]
     n = graph.vertex_count
     out = graph.out_masks
     for combo in combinations(range(n), 4):
-        cmask = 0
-        for v in combo:
-            cmask |= 1 << v
+        cmask = mask_from_indices(combo)
         ok = True
         arcs = 0
         for u in combo:
@@ -646,9 +620,7 @@ def max_induced_arcs(graph: DirectedGraph, k: int) -> int:
     out = graph.out_masks
     best = 0
     for combo in combinations(range(n), k):
-        cmask = 0
-        for v in combo:
-            cmask |= 1 << v
+        cmask = mask_from_indices(combo)
         arcs = sum((out[v] & cmask).bit_count() for v in combo)
         if arcs > best:
             best = arcs
@@ -676,7 +648,6 @@ def arc_atom_cardinality_check(
     k: int,
     *,
     arc_transitive: bool = True,
-    exact_cap: int = DEFAULT_EXACT_CUT_CAP,
 ) -> ArcAtomVerdict:
     """Check the cardinality caps and the degree bound for arc k-atoms.
 
@@ -691,9 +662,7 @@ def arc_atom_cardinality_check(
     if len(degrees) != 1 or degrees != in_degrees:
         raise PreconditionError("graph is not regular with equal in/out degrees")
     d = degrees.pop()
-    report = arc_connectivity(
-        graph, k, arc_transitive=arc_transitive, exact_cap=exact_cap
-    )
+    report = arc_connectivity(graph, k, arc_transitive=arc_transitive)
     sizes = tuple(sorted({len(c) for c in report.atoms}))
     anti = is_antisymmetric(graph)
     checks: list[tuple[str, bool, int, int]] = []

@@ -226,10 +226,6 @@ class GroupSubset:
         self._check(other)
         return GroupSubset(self.group, self.mask & other.mask)
 
-    def difference(self, other: "GroupSubset") -> "GroupSubset":
-        self._check(other)
-        return GroupSubset(self.group, self.mask & ~other.mask)
-
     def complement(self) -> "GroupSubset":
         return GroupSubset(self.group, ~self.mask & ((1 << self.group.order) - 1))
 

@@ -271,6 +271,23 @@ def test_progression_agrees_with_triple_scan():
         assert (detect_geometric_progression(group, s) is not None) == brute
 
 
+def test_progression_scan_skips_short_orders(monkeypatch):
+    # SD(11,5)'s set has 36 elements and no element of order 36 or more, so
+    # no candidate a can generate a progression that long.
+    module = sys.modules["sumatoms.classify"]
+    real = module._is_progression
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, "_is_progression", counting)
+    inst = build_example(11, 5)
+    assert detect_geometric_progression(inst.group, inst.subset) is None
+    assert calls == []
+
+
 def test_case_ii_examples():
     g6 = make_cyclic(6)
     w = find_case_ii_subgroup(g6, subset(g6, 0, 2, 3))

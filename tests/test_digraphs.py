@@ -28,6 +28,7 @@ from sumatoms import (
     make_cyclic,
     max_induced_arcs,
     oriented_octahedron,
+    oriented_rook,
     outgoing_arcs,
     verify_translation_transitivity,
 )
@@ -359,3 +360,29 @@ def test_flow_matches_enumeration_to_sixteen_vertices():
         assert rep.lam == 1 and rep.method == "flow+enumeration"
         for k in (2, 3):
             assert arc_connectivity_exhaustive(graph, k).lam == 1
+
+
+def test_transitive_sweep_matches_exhaustive():
+    # exact_cap=2 forces the size-bounded sweep on every arc-transitive graph
+    graphs = [directed_cycle(n) for n in range(3, 13)]
+    graphs += [bidirected_clique(n) for n in range(3, 7)]
+    graphs += [oriented_octahedron(), oriented_rook()]
+    for p, q in ((7, 3), (11, 5)):
+        inst = build_example(p, q)
+        graphs.append(build_quotient_graph(inst.group, inst.subgroup, inst.a))
+    cases = truncated = 0
+    for graph in graphs:
+        for k in range(2, graph.vertex_count // 2 + 1):
+            sweep = arc_connectivity(graph, k, arc_transitive=True, exact_cap=2)
+            exh = arc_connectivity_exhaustive(graph, k)
+            assert sweep.method == "transitive-sweep" and exh.method == "exhaustive"
+            assert sweep.lam == exh.lam
+            assert len(sweep.atoms[0]) == len(exh.atoms[0])
+            assert sweep.atoms_complete == exh.atoms_complete
+            if exh.atoms_complete:
+                assert sweep.atoms == exh.atoms
+            else:
+                truncated += 1
+                assert len(sweep.atoms) == len(exh.atoms) == 256
+            cases += 1
+    assert (cases, truncated) == (40, 2)

@@ -3,11 +3,16 @@
 A refactor must leave every ``--format machine`` report byte-identical.
 These digests were recorded from the code before the candidate scans were
 shared; the commands together reach the n > 24 (two-coset certificates)
-and n > 48 (structured hypothesis witnesses) paths.
+and n > 48 (structured hypothesis witnesses) paths.  The three ``quotient``
+reports pin the cut engines' ``arc_cut.*`` lines: the exhaustive scan with a
+complete and with a truncated atom list, and the transitive sweep with a
+truncated one.  Commands are split shell-style, so a quoted set literal
+stays one argument.
 """
 
 import hashlib
 import io
+import shlex
 from contextlib import redirect_stdout
 
 import pytest
@@ -36,6 +41,15 @@ GOLDEN = {
     "classify --semidirect 11 5 --example": (
         "12cd12bed96f0db1c2fcf559f575b7364caedad44bef16c9ea23f3e3115c6d61"
     ),
+    'quotient --semidirect 7 3 --subgroup "0 1 2" --element 3 --k 3': (
+        "de38962614c0282a591dbd0a0a98cda8bc0597d90fa86fe8cee1898c6b18ae5c"
+    ),
+    'quotient --semidirect 11 5 --subgroup "0 1 2 3 4" --element 5 --k 4': (
+        "757de97b069d252bd77963c62e01abb9269286858a5c0bfd0cec90b5e5b3879e"
+    ),
+    'quotient --semidirect 23 11 --subgroup "0 1 2 3 4 5 6 7 8 9 10" --element 11 --k 3': (
+        "7a9ba19cd0e8c56f5c38dc990404ed05f295ae83c524e011530f42281d0a38d0"
+    ),
 }
 
 
@@ -43,7 +57,7 @@ GOLDEN = {
 def test_machine_report_digest(command):
     out = io.StringIO()
     with redirect_stdout(out):
-        code = main(command.split() + ["--format", "machine"])
+        code = main(shlex.split(command) + ["--format", "machine"])
     assert code == 0
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == GOLDEN[command]
