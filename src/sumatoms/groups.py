@@ -33,16 +33,80 @@ DEFAULT_ORDER_CAP = 2048
 IDENTITY = 0
 
 
-def _validate_table(table: Sequence[Sequence[int]]) -> None:
-    """Check all group axioms, raising ValidationError naming the first failure."""
+def _light_generators(arr: np.ndarray) -> list[int]:
+    """A set Γ from which right multiplication reaches every element.
+
+    Greedy: each step adds the least element not yet reached from the
+    identity by x -> x*g, g in Γ.  Works on an unproven table with Latin
+    columns, so it uses no inverses.  O(n |Γ|) steps.
+    """
+    reached = [False] * len(arr)
+    reached[IDENTITY] = True
+    gens: list[int] = []
+    columns: list[list[int]] = []
+    while not all(reached):
+        gens.append(reached.index(False))
+        newest = arr[:, gens[-1]].tolist()
+        columns.append(newest)
+        # Elements reached before need only the new generator; the ones it
+        # reaches need all of them.  A column is a permutation, so no repeats.
+        stack = [y for x, y in enumerate(newest) if reached[x] and not reached[y]]
+        for y in stack:
+            reached[y] = True
+        while stack:
+            x = stack.pop()
+            for column in columns:
+                y = column[x]
+                if not reached[y]:
+                    reached[y] = True
+                    stack.append(y)
+    return gens
+
+
+def _light_associativity_failure(arr: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """A triple (x, g, y) with (xg)y != x(gy), or None if the table is associative.
+
+    Light's test (Clifford & Preston, *The Algebraic Theory of Semigroups* I,
+    §1.2) checks g only over :func:`_light_generators`: the g with
+    (xg)y = x(gy) for all x, y are closed under products, and every element
+    is a left-normed product of generators.  O(n^2 |Γ|) work.
+    """
+    for g in _light_generators(arr):
+        lhs = arr[arr[:, g]]  # lhs[x, y] = (x*g)*y
+        rhs = arr[:, arr[g]]  # rhs[x, y] = x*(g*y)
+        if not np.array_equal(lhs, rhs):
+            x, y = map(int, np.argwhere(lhs != rhs)[0])
+            return x, g, y
+    return None
+
+
+def _full_associativity_failure(arr: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """Reference for Light's test: every triple, O(n^3).  Only tests call it."""
+    for i, row in enumerate(arr):
+        lhs = arr[row]  # lhs[j, k] = (i*j)*k
+        rhs = row[arr]  # rhs[j, k] = i*(j*k)
+        if not np.array_equal(lhs, rhs):
+            j, k = map(int, np.argwhere(lhs != rhs)[0])
+            return i, j, k
+    return None
+
+
+def _validate_table(table: Sequence[Sequence[int]]) -> np.ndarray:
+    """Check all group axioms, raising ValidationError naming the first failure.
+
+    Returns the table as an int64 array.
+    """
     n = len(table)
     for i, row in enumerate(table):
         if len(row) != n:
             raise ValidationError(f"row {i} has {len(row)} entries, expected {n}")
-        for x in row:
-            if not 0 <= x < n:
-                raise ValidationError(f"row {i} entry {x} out of range [0,{n})")
-    arr = np.asarray(table, dtype=np.int64)
+    try:
+        arr = np.asarray(table, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64 is out of range as well
+        arr = None
+    if arr is None or not np.all((0 <= arr) & (arr < n)):
+        i, x = next((i, x) for i, row in enumerate(table) for x in row if not 0 <= x < n)
+        raise ValidationError(f"row {i} entry {x} out of range [0,{n})")
     ident = np.arange(n)
     if not (np.array_equal(arr[0], ident) and np.array_equal(arr[:, 0], ident)):
         raise ValidationError("identity not at index 0")
@@ -54,18 +118,15 @@ def _validate_table(table: Sequence[Sequence[int]]) -> None:
     if not np.all(col_sorted == ident[:, None]):
         bad = int(np.nonzero(np.any(col_sorted != ident[:, None], axis=0))[0][0])
         raise ValidationError(f"column {bad} not a permutation")
-    # Associativity, chunked by the first operand to bound memory at O(n^2).
-    for i in range(n):
-        row = arr[i]
-        lhs = arr[row]          # lhs[j, k] = table[table[i][j]][k]
-        rhs = row[arr]          # rhs[j, k] = table[i][table[j][k]]
-        if not np.array_equal(lhs, rhs):
-            j, k = map(int, np.argwhere(lhs != rhs)[0])
-            raise ValidationError(f"associativity fails at triple ({i},{j},{k})")
+    triple = _light_associativity_failure(arr)
+    if triple is not None:
+        x, g, y = triple
+        raise ValidationError(f"associativity fails at triple ({x},{g},{y})")
     inv = np.argmax(arr == IDENTITY, axis=1)
     if not np.all(arr[inv, ident] == IDENTITY):
         bad = int(np.nonzero(arr[inv, ident] != IDENTITY)[0][0])
         raise ValidationError(f"missing inverse for element {bad}")
+    return arr
 
 
 class FiniteGroup:
@@ -94,7 +155,6 @@ class FiniteGroup:
         *,
         labels: Optional[Sequence[str]] = None,
         name: str = "group",
-        validate: bool = True,
         cap: int = DEFAULT_ORDER_CAP,
     ) -> None:
         n = len(table)
@@ -103,9 +163,7 @@ class FiniteGroup:
         if n > cap:
             raise SizeCapError(f"group order {n} exceeds cap {cap}")
         self.order = n
-        self.table = [list(map(int, row)) for row in table]
-        if validate:
-            _validate_table(self.table)
+        self.table = _validate_table(table).tolist()
         self.inverse = [row.index(IDENTITY) for row in self.table]
         if labels is not None and len(labels) != n:
             raise ValidationError(f"{len(labels)} labels for {n} elements")
@@ -274,7 +332,7 @@ class GroupSubset:
 
 def _group_from_mul(
     n: int,
-    mul: Callable[[int, int], int],
+    mul: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *,
     labels: Optional[Sequence[str]] = None,
     name: str = "group",
@@ -282,7 +340,8 @@ def _group_from_mul(
 ) -> FiniteGroup:
     if n > cap:
         raise SizeCapError(f"group order {n} exceeds cap {cap}")
-    table = [[mul(i, j) for j in range(n)] for i in range(n)]
+    index = np.arange(n)
+    table = mul(index[:, None], index[None, :])
     return FiniteGroup(table, labels=labels, name=name, cap=cap)
 
 
@@ -301,10 +360,10 @@ def make_dihedral(m: int, *, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if m < 3:
         raise ValidationError(f"dihedral parameter must be >= 3, got {m}")
 
-    def mul(i: int, j: int) -> int:
-        j1, e1 = i % m, i // m
-        j2, e2 = j % m, j // m
-        jj = (j1 + j2) % m if e1 == 0 else (j1 - j2) % m
+    def mul(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        e1, j1 = np.divmod(i, m)
+        e2, j2 = np.divmod(j, m)
+        jj = np.where(e1 == 0, j1 + j2, j1 - j2) % m
         return (e1 ^ e2) * m + jj
 
     labels = [f"r{j}" for j in range(m)] + [f"fr{j}" for j in range(m)]
@@ -339,12 +398,14 @@ def make_semidirect(p: int, q: int, *, cap: int = DEFAULT_ORDER_CAP) -> FiniteGr
     h0 = sorted(h for h in range(1, p) if pow(h, q, p) == 1)
     if len(h0) != q:
         raise ValidationError(f"({p},{q}): multiplicative subgroup has wrong size")
-    rank = {h: r for r, h in enumerate(h0)}
+    hs = np.array(h0)
+    rank = np.zeros(p, dtype=np.int64)
+    rank[hs] = np.arange(q)
 
-    def mul(i: int, j: int) -> int:
-        x, h = divmod(i, q)
-        y, k = divmod(j, q)
-        return ((x + h0[h] * y) % p) * q + rank[h0[h] * h0[k] % p]
+    def mul(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        x, h = np.divmod(i, q)
+        y, k = np.divmod(j, q)
+        return ((x + hs[h] * y) % p) * q + rank[hs[h] * hs[k] % p]
 
     labels = [f"({x},{h})" for x in range(p) for h in h0]
     return _group_from_mul(p * q, mul, labels=labels, name=f"SD({p},{q})", cap=cap)
@@ -358,11 +419,12 @@ def direct_product(
     if n > cap:
         raise SizeCapError(f"group order {n} exceeds cap {cap}")
     nb = b.order
+    ta, tb = np.array(a.table), np.array(b.table)
 
-    def mul(i: int, j: int) -> int:
-        i1, i2 = divmod(i, nb)
-        j1, j2 = divmod(j, nb)
-        return a.table[i1][j1] * nb + b.table[i2][j2]
+    def mul(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        i1, i2 = np.divmod(i, nb)
+        j1, j2 = np.divmod(j, nb)
+        return ta[i1, j1] * nb + tb[i2, j2]
 
     labels = [f"({a.label(i)},{b.label(j)})" for i in range(a.order) for j in range(b.order)]
     return _group_from_mul(n, mul, labels=labels, name=f"{a.name}x{b.name}", cap=cap)

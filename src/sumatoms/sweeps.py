@@ -448,11 +448,11 @@ def _certified_quotients(max_order: int) -> list[tuple[str, DirectedGraph]]:
 def sweep_graph_lemmas(max_order: int = 16) -> SweepResult:
     """Cut computations and arc-atom structure on the graph test family.
 
-    Compares the production, exhaustive and flow engines on small graphs,
-    checks monotonicity of the connectivity levels, the atom cardinality
-    caps and degree bound on certified arc-transitive instances, and the
-    degree-2 consequences (triangle orientation, the 4-vertex/5-arc
-    obstruction, lambda_4 >= 4).
+    Compares the production engine on its large-graph routes with the
+    exhaustive and flow engines on small graphs, checks monotonicity of the
+    connectivity levels, the atom cardinality caps and degree bound on
+    certified arc-transitive instances, and the degree-2 consequences
+    (triangle orientation, the 4-vertex/5-arc obstruction, lambda_4 >= 4).
     """
     rows: list[GraphRow] = []
     failures: list[str] = []
@@ -472,7 +472,9 @@ def sweep_graph_lemmas(max_order: int = 16) -> SweepResult:
         for k in range(1, min(4, n // 2) + 1):
             if n <= 12:
                 exh = arc_connectivity_exhaustive(graph, k)
-                prod = arc_connectivity(graph, k, arc_transitive=True)
+                # An exact cap below n sends production down the large-graph
+                # routes (flow at k = 1, the transitive sweep beyond).
+                prod = arc_connectivity(graph, k, arc_transitive=True, exact_cap=n - 1)
                 checks += 1
                 if prod.lam != exh.lam:
                     row_failures.append(f"{name}: production lambda_{k} {prod.lam} != exhaustive {exh.lam}")

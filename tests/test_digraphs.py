@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -32,7 +33,7 @@ from sumatoms import (
     outgoing_arcs,
     verify_translation_transitivity,
 )
-from sumatoms import digraphs
+from sumatoms import digraphs, sweeps
 from sumatoms.catalog import build_group, catalog_specs
 from sumatoms.digraphs import coset_vertices, graph_from_arcs
 from sumatoms.sumsets import product_set
@@ -196,6 +197,26 @@ def test_engine_disagreement_is_typed(monkeypatch):
     monkeypatch.setattr(digraphs, "_flow_lambda1", off_by_one)
     with pytest.raises(EngineMismatchError):
         arc_connectivity(directed_cycle(5), 1)
+
+
+def test_graph_sweep_checks_the_large_graph_routes(monkeypatch):
+    # Every sweep graph has at most 12 vertices; its production call must
+    # still take the flow and transitive-sweep routes, so that the exhaustive
+    # engine it is compared with is not compared with itself.
+    real = sweeps.arc_connectivity
+    methods = Counter()
+
+    def counting(*args, **kwargs):
+        report = real(*args, **kwargs)
+        methods[report.method] += 1
+        return report
+
+    monkeypatch.setattr(sweeps, "arc_connectivity", counting)
+    result = sweeps.sweep_graph_lemmas(8)
+    assert result.passed and len(result.rows) == 25
+    assert sum(row.checks for row in result.rows) == 220
+    assert methods["flow"] == 25 and methods["transitive-sweep"] == 39
+    assert methods["flow+enumeration"] == 0
 
 
 def test_engines_agree():

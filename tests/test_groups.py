@@ -1,8 +1,12 @@
+import hashlib
+import json
 import random
 
+import numpy as np
 import pytest
 
 from sumatoms import (
+    FiniteGroup,
     GroupSubset,
     ParseError,
     PreconditionError,
@@ -20,7 +24,17 @@ from sumatoms import (
     right_coset_decomposition,
 )
 from sumatoms.catalog import build_group, catalog_specs
-from sumatoms.groups import double_coset_pairs
+from sumatoms.groups import (
+    _full_associativity_failure,
+    _light_associativity_failure,
+    double_coset_pairs,
+)
+
+# SHA-256 over (name, table, inverse, labels) of the catalog groups up to
+# order 20, then SD(23,11) and SD(47,23), recorded from the per-entry
+# constructors that preceded the numpy ones.
+TABLES_DIGEST = "863f5002aca32cc7bc257c29535aa99b98855080b03fde52b470a3780c705939"
+ORDER5_LOOP = "5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
 
 
 def test_load_trivial_group():
@@ -49,9 +63,80 @@ def test_load_identity_must_be_first():
 def test_load_broken_associativity():
     # A Latin square with identity row/column that is not a group (order 5
     # quasigroup): rows form a valid Latin square but fail associativity.
-    text = "5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
     with pytest.raises(ValidationError, match="associativity"):
-        load_group_table(text)
+        load_group_table(ORDER5_LOOP)
+
+
+def _swapped_intercalate(table, rng):
+    """The table with one 2x2 Latin subsquare away from row and column 0
+    swapped, or None if no draw finds one (groups of odd order have none)."""
+    n = len(table)
+    for _ in range(200):
+        r1, r2 = rng.sample(range(1, n), 2)
+        c1 = rng.randrange(1, n)
+        c2 = table[r2].index(table[r1][c1])
+        if c2 and table[r1][c2] == table[r2][c1]:
+            out = [row[:] for row in table]
+            out[r1][c1], out[r1][c2] = table[r1][c2], table[r1][c1]
+            out[r2][c1], out[r2][c2] = table[r2][c2], table[r2][c1]
+            return out
+    return None
+
+
+def test_light_test_matches_full_check_on_groups():
+    specs = catalog_specs(64)
+    assert len(specs) > 200
+    for spec in specs:
+        arr = np.array(build_group(spec).table)
+        assert _light_associativity_failure(arr) is None
+        assert _full_associativity_failure(arr) is None
+
+
+def test_both_associativity_checks_reject_loops():
+    # Loops with an identity at 0 and Latin rows and columns, but not groups.
+    rng = random.Random(8)
+    loops = [[[int(t) for t in line.split()] for line in ORDER5_LOOP.splitlines()[1:]]]
+    for spec in catalog_specs(24):
+        if spec.order >= 6:
+            loop = _swapped_intercalate(build_group(spec).table, rng)
+            if loop is not None:
+                loops.append(loop)
+    assert len(loops) > 30
+    assert {len(t) for t in loops} >= {5, 6, 8, 12, 16, 20, 24}
+    for t in loops:
+        arr = np.array(t)
+        full = _full_associativity_failure(arr)
+        assert full is not None
+        i, j, k = full
+        assert t[t[i][j]][k] != t[i][t[j][k]]
+        light = _light_associativity_failure(arr)
+        assert light is not None
+        x, g, y = light
+        assert t[t[x][g]][y] != t[x][t[g][y]]
+        with pytest.raises(ValidationError, match=rf"associativity fails at triple \({x},{g},{y}\)"):
+            FiniteGroup(t)
+
+
+def test_constructed_tables_are_pinned():
+    groups = [build_group(spec) for spec in catalog_specs(20)]
+    assert len(groups) == 40
+    groups += [make_semidirect(23, 11), make_semidirect(47, 23)]
+    digest = hashlib.sha256()
+    for g in groups:
+        digest.update(json.dumps([g.name, g.table, g.inverse, g.labels]).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == TABLES_DIGEST
+
+
+def test_load_out_of_range_entries():
+    with pytest.raises(ValidationError, match=r"row 1 entry 7 out of range \[0,2\)"):
+        FiniteGroup([[0, 1], [1, 7]])
+    with pytest.raises(ValidationError, match=r"row 0 entry -1 out of range"):
+        FiniteGroup([[0, -1], [1, 0]])
+    with pytest.raises(ValidationError, match=rf"row 1 entry {10**30} out of range"):
+        FiniteGroup([[0, 1], [1, 10**30]])
+    with pytest.raises(ValidationError, match="row 1 has 1 entries, expected 2"):
+        FiniteGroup([[0, 1], [1]])
 
 
 def test_load_parse_errors():

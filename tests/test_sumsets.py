@@ -4,7 +4,6 @@ import sys
 import pytest
 
 from sumatoms import (
-    FiniteGroup,
     GroupSubset,
     NotGeneratingError,
     NotSeparableError,
@@ -221,8 +220,7 @@ def test_deep_searches_leave_recursion_limit_alone():
     # interpreter's call stack.
     limit = sys.getrecursionlimit()
     n = 2048
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    c2048 = FiniteGroup(table, name="C2048", validate=False)
+    c2048 = make_cyclic(n)
     x = boundary_witness(c2048, 0b11, n // 2 - 1, 1)
     assert x is not None and x.bit_count() == n // 2 - 1
     assert sys.getrecursionlimit() == limit
