@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bitset import bit_indices, mask_from_indices, permute_mask
-from .errors import PreconditionError
+from .errors import GroupMismatchError, PreconditionError
 from .groups import (
     IDENTITY,
     FiniteGroup,
@@ -133,11 +133,15 @@ class HypothesisReport:
     generates: bool
     two_separable: Optional[bool]
     witness: Optional[GroupSubset]
-    route_case_ii: bool
 
 
 # ---------------------------------------------------------------------------
 # Hypothesis
+
+
+def _require_group(group: FiniteGroup, s: GroupSubset) -> None:
+    if s.group is not group:
+        raise GroupMismatchError("subset belongs to a different group")
 
 
 def _proper_subgroups(group: FiniteGroup) -> list[GroupSubset]:
@@ -186,6 +190,7 @@ def hypothesis_holds(group: FiniteGroup, s: GroupSubset) -> HypothesisReport:
     try structured witnesses (pairs, subgroups, double-coset pairs) first
     and fall back to the complete search.
     """
+    _require_group(group, s)
     if len(s) < 2:
         raise PreconditionError(f"need at least 2 elements, got {len(s)}")
     s1, norm = normalize(s)
@@ -197,7 +202,6 @@ def hypothesis_holds(group: FiniteGroup, s: GroupSubset) -> HypothesisReport:
             generates=False,
             two_separable=None,
             witness=None,
-            route_case_ii=True,
         )
     n = group.order
     target = len(s1) - 1
@@ -217,7 +221,6 @@ def hypothesis_holds(group: FiniteGroup, s: GroupSubset) -> HypothesisReport:
         generates=True,
         two_separable=separable,
         witness=GroupSubset(group, witness_mask) if witness_mask is not None else None,
-        route_case_ii=False,
     )
 
 
@@ -228,7 +231,13 @@ def hypothesis_holds(group: FiniteGroup, s: GroupSubset) -> HypothesisReport:
 def detect_geometric_progression(
     group: FiniteGroup, s: GroupSubset
 ) -> Optional[CaseIWitness]:
-    """First (side, g, a) making gS or Sg equal to {1, a, a^2, ...}, if any."""
+    """First (g, a) making gS equal to {1, a, a^2, ...}, if any.
+
+    Left translates decide both sides: if Sg = {1, a, ..., a^(m-1)}, then
+    gS = g(Sg)g^-1 = {1, gag^-1, ...} for the same g, so the scan finds a
+    left-hand witness whenever a right-hand one exists.
+    """
+    _require_group(group, s)
     if len(s) < 2:
         raise PreconditionError(f"need at least 2 elements, got {len(s)}")
     m = len(s)
@@ -237,14 +246,11 @@ def detect_geometric_progression(
     if not long:
         return None
     left = s.translates.xs_masks()
-    # gS and Sg contain 1 exactly when g lies in S^-1.
-    starts = s.inverse_set().mask
-    for side in ("left", "right"):
-        for g in bit_indices(starts):
-            t = left[g] if side == "left" else permute_mask(s.mask, group.column(g))
-            for a in bit_indices(t & long):
-                if _is_progression(group, t, a, m):
-                    return CaseIWitness(side=side, g=g, a=a)
+    # gS contains 1 exactly when g lies in S^-1.
+    for g in bit_indices(s.inverse_set().mask):
+        for a in bit_indices(left[g] & long):
+            if _is_progression(group, left[g], a, m):
+                return CaseIWitness(side="left", g=g, a=a)
     return None
 
 
@@ -281,6 +287,7 @@ def find_case_ii_subgroup(
     group: FiniteGroup, s: GroupSubset
 ) -> Optional[CaseIIWitness]:
     """Smallest proper nontrivial subgroup with |H S^eps| <= |H| + |S| - 1."""
+    _require_group(group, s)
     found = _subgroup_cover(s.translates, 1)
     return CaseIIWitness(*found) if found is not None else None
 
@@ -294,6 +301,7 @@ def find_case_iii_witness(
     possible subgroup size, so the scan is gated on it; under the gate the
     two targets coincide for every pair A = H u Ha.
     """
+    _require_group(group, s)
     n = group.order
     ssize = len(s)
     if (n + 1 - ssize) % 4 != 0:
@@ -397,6 +405,7 @@ def classify(
     A precomputed hypothesis report may be supplied by sweeps that decide
     it once per translate class.
     """
+    _require_group(group, s)
     hyp = hypothesis if hypothesis is not None else hypothesis_holds(group, s)
     s1 = hyp.normalized
     if not hyp.holds:
@@ -406,7 +415,7 @@ def classify(
         return ClassificationResult(
             Case.HYPOTHESIS_FAILS, None, tuple(transcript), s1, hyp.translator
         )
-    if hyp.route_case_ii:
+    if not hyp.generates:
         h = generated_subgroup(group, s1)
         witness = CaseIIWitness(subgroup=h, epsilon=1)
         transcript = _verify_case_ii(group, s1, witness)
@@ -460,6 +469,7 @@ def check_corollary_bound(
     Vacuous for the other cases.  Uses exact integer arithmetic:
     |S| > n - 4*sqrt(n) iff (n - |S|)^2 < 16n (sizes never exceed n).
     """
+    _require_group(group, s)
     if result.case is not Case.CASE_III:
         return CorollaryVerdict(applicable=False, passed=True, transcript=())
     n = group.order
@@ -496,14 +506,6 @@ class MannVerdict:
 _COVER_SIDE = {1: "HS", -1: "SH"}
 
 
-def coset_cover_witness(
-    group: FiniteGroup, smask: int, slack: int = 2
-) -> Optional[tuple[int, str]]:
-    """A proper subgroup H with |HS| or |SH| <= |H| + |S| - slack, if any."""
-    found = _subgroup_cover(TranslateTables(group, smask), slack)
-    return None if found is None else (found[0].mask, _COVER_SIDE[found[1]])
-
-
 def verify_mann(group: FiniteGroup, s: GroupSubset) -> MannVerdict:
     """Decide the covering hypothesis and confirm the subgroup conclusion.
 
@@ -512,6 +514,7 @@ def verify_mann(group: FiniteGroup, s: GroupSubset) -> MannVerdict:
     case is settled by the generated subgroup directly).  When it holds, a
     proper subgroup must cover S from one side within |H| + |S| - 2.
     """
+    _require_group(group, s)
     if not s:
         raise PreconditionError("cannot analyze the empty set")
     s1, norm = normalize(s)
@@ -598,21 +601,20 @@ def _two_coset_fragment_scan(tables: TranslateTables) -> Optional[tuple[int, int
     return None
 
 
-def verify_two_coset_theorem(
-    group: FiniteGroup, s: GroupSubset, *, exact_cap: int = TWO_COSET_EXACT_CAP
-) -> TwoCosetVerdict:
+def verify_two_coset_theorem(group: FiniteGroup, s: GroupSubset) -> TwoCosetVerdict:
     """Check the two-coset complement property of the exceptional case.
 
     Preconditions: S (normalized) generates, |S| >= 3, both isoperimetric
     numbers equal |S| - 1, |G| >= 2*alpha_2 + kappa_2, no 2-fragment is a
-    subgroup, and some 2-atom is a union H u Ha of two right cosets.  On
-    groups larger than ``exact_cap`` the atom computation is replaced by
+    subgroup, and some 2-atom is a union H u Ha of two right cosets.
+    Above order ``TWO_COSET_EXACT_CAP`` the atom computation is replaced by
     certificates: the coset-cover scan bounds kappa_1 from below, an
     explicit fragment bounds kappa_2 from above, and minimality of the
     two-coset fragment is recorded as assumed rather than verified.
     Conclusion (always computed exactly): the complement of HS is exactly
     two right H-cosets, and HS = AS.
     """
+    _require_group(group, s)
     s1, norm = normalize(s)
     n = group.order
     pre: list[PreconditionStatus] = []
@@ -631,7 +633,7 @@ def verify_two_coset_theorem(
     target = len(s1) - 1
     tables = s1.translates
     candidates: list[tuple[int, int]] = []
-    if n <= exact_cap:
+    if n <= TWO_COSET_EXACT_CAP:
         try:
             rep2 = find_atoms(s1, 2)
         except PreconditionError:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -65,18 +64,12 @@ EXIT_NOT_SEPARABLE = 3
 EXIT_VIOLATION = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    format: str
-    seed: int
-    workers: int
-    order_cap: int
-    oracle_cap: int
-    atom_cap: int
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 1), not argparse's exit 2."""
 
-    def header(self) -> list[tuple[str, object]]:
-        return reports.header_pairs(self.command, self.seed, self.order_cap, self.oracle_cap)
+    def error(self, message: str) -> None:
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -107,28 +100,13 @@ def _resolve_group(args: argparse.Namespace) -> FiniteGroup:
     return load_group_table(args.file.read_text(encoding="utf-8"), cap=cap)
 
 
-def _emit(config: RunConfig, pairs: list[tuple[str, object]], human_lines: list[str]) -> None:
-    if config.format == "machine":
-        sys.stdout.write(reports.render_kv(config.header() + pairs))
+def _emit(args: argparse.Namespace, pairs: list[tuple[str, object]], human_lines: list[str]) -> None:
+    if args.format == "machine":
+        header = reports.header_pairs(args.command, args.seed, args.order_cap, args.oracle_cap)
+        sys.stdout.write(reports.render_kv(header + pairs))
     else:
         for line in human_lines:
             print(line)
-
-
-def _config(args: argparse.Namespace, command: str) -> RunConfig:
-    if args.workers < 1:
-        raise PreconditionError("worker count must be at least 1")
-    if args.order_cap < 1 or args.oracle_cap < 1 or args.atom_cap < 1:
-        raise PreconditionError("caps must be positive")
-    return RunConfig(
-        command=command,
-        format=args.format,
-        seed=args.seed,
-        workers=args.workers,
-        order_cap=args.order_cap,
-        oracle_cap=args.oracle_cap,
-        atom_cap=args.atom_cap,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +114,6 @@ def _config(args: argparse.Namespace, command: str) -> RunConfig:
 
 
 def cmd_group(args: argparse.Namespace) -> int:
-    config = _config(args, "group")
     group = _resolve_group(args)
     subgroups = enumerate_subgroups(group)
     sizes = [len(h) for h in subgroups]
@@ -146,19 +123,18 @@ def cmd_group(args: argparse.Namespace) -> int:
         f"{'abelian' if group.is_abelian else 'nonabelian'}, validation passed",
         f"subgroups: {len(subgroups)} (sizes {' '.join(map(str, sizes))})",
     ]
-    _emit(config, pairs, human)
+    _emit(args, pairs, human)
     return EXIT_OK
 
 
 def cmd_atoms(args: argparse.Namespace) -> int:
-    config = _config(args, "atoms")
     group = _resolve_group(args)
     subset = GroupSubset.from_literal(group, args.set)
-    report = find_atoms(subset, args.k, atom_cap=config.atom_cap)
+    report = find_atoms(subset, args.k, atom_cap=args.atom_cap)
     mismatch = False
     if args.oracle:
         reference = oracle_atoms(
-            subset, args.k, order_cap=args.oracle_cap, atom_cap=config.atom_cap
+            subset, args.k, order_cap=args.oracle_cap, atom_cap=args.atom_cap
         )
         mismatch = not report.same_result(reference)
         report = reference if mismatch else report
@@ -174,12 +150,11 @@ def cmd_atoms(args: argparse.Namespace) -> int:
     human.extend(f"  {{{atom.to_literal()}}}" for atom in report.atoms)
     if args.oracle:
         human.append(f"oracle cross-check: {'MISMATCH' if mismatch else 'match'}")
-    _emit(config, pairs, human)
+    _emit(args, pairs, human)
     return EXIT_ORACLE_MISMATCH if mismatch else EXIT_OK
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    config = _config(args, "classify")
     if args.example:
         if args.semidirect is None:
             raise PreconditionError("--example requires --semidirect P Q")
@@ -198,12 +173,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
     human.extend("  " + e.render() for e in result.transcript)
     if corollary.applicable:
         human.append(f"size bound check: {'pass' if corollary.passed else 'FAIL'}")
-    _emit(config, pairs, human)
+    _emit(args, pairs, human)
     return EXIT_VIOLATION if result.case is Case.VIOLATION else EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = _config(args, "verify")
     suite = args.suite
     if suite == "main-theorem":
         result = sweep_main_theorem(args.max_order, workers=args.workers)
@@ -231,12 +205,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     human = [f"suite {result.suite}: {len(result.rows)} rows"]
     human.extend(f"  FAIL {f}" for f in result.failures)
     human.append("result: PASS" if result.passed else "result: FAIL")
-    _emit(config, pairs, human)
+    _emit(args, pairs, human)
     return EXIT_OK if result.passed else EXIT_VIOLATION
 
 
 def cmd_example(args: argparse.Namespace) -> int:
-    config = _config(args, "example")
     inst = build_example(args.p, args.q, cap=args.order_cap)
     transcript = verify_example(inst)
     result = classify_example(inst)
@@ -263,7 +236,7 @@ def cmd_example(args: argparse.Namespace) -> int:
     if args.dump_gtf:
         human.append(_gtf_dump(inst.group))
         pairs.append(("example.gtf", _gtf_dump(inst.group).replace("\n", ";")))
-    _emit(config, pairs, human)
+    _emit(args, pairs, human)
     ok = passed == len(transcript) and result.case is Case.CASE_III
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -277,7 +250,6 @@ def _gtf_dump(group: FiniteGroup) -> str:
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
-    config = _config(args, "quotient")
     group = _resolve_group(args)
     subgroup = GroupSubset.from_literal(group, args.subgroup)
     graph = build_quotient_graph(group, subgroup, args.element)
@@ -303,12 +275,11 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         )
     pairs.append(("quotient.dump", dump.replace("\n", ";")))
     human.append(dump.rstrip("\n"))
-    _emit(config, pairs, human)
+    _emit(args, pairs, human)
     return EXIT_OK if verdict.passed else EXIT_NOT_SEPARABLE
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    config = _config(args, "scan")
     rows = sophie_germain_scan(args.limit, cap=args.order_cap)
     pairs: list[tuple[str, object]] = [("scan.limit", args.limit), ("scan.count", len(rows))]
     for i, row in enumerate(rows):
@@ -317,12 +288,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
     human.extend(
         f"{row.p} {row.q} {row.order} {row.set_size} {row.ratio:.6f}" for row in rows
     )
-    _emit(config, pairs, human)
+    _emit(args, pairs, human)
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sumatoms",
         description="Finite-group sumset structure: boundaries, atoms, "
         "classification, and exhaustive verification sweeps.",
@@ -389,9 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.workers < 1:
+            raise PreconditionError("worker count must be at least 1")
+        if args.order_cap < 1 or args.oracle_cap < 1 or args.atom_cap < 1:
+            raise PreconditionError("caps must be positive")
         return args.fn(args)
     except EngineMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

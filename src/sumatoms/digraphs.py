@@ -514,11 +514,10 @@ def arc_connectivity(
                 atoms_complete=enum.atoms_complete,
                 method="flow+enumeration",
             )
-        min_cuts = [s for s in sides if _outgoing(graph.out_masks, s) == lam]
-        smallest = min(m.bit_count() for m in min_cuts)
-        atoms = sorted(
-            {indices_tuple(m) for m in min_cuts if m.bit_count() == smallest}
-        )
+        # Each side is a residual-reachable set of a flow of value lam, so
+        # exactly lam arcs leave it: every side is a minimum cut.
+        smallest = min(m.bit_count() for m in sides)
+        atoms = sorted({indices_tuple(m) for m in sides if m.bit_count() == smallest})
         return ArcCutReport(
             k=1,
             lam=lam,

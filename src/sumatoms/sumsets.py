@@ -96,7 +96,6 @@ class FragmentDiagram:
 
 @dataclass(frozen=True)
 class NormalizeReport:
-    contains_identity: bool
     generates: bool
     translator: int
 
@@ -238,21 +237,10 @@ def _separability_witness(group: FiniteGroup, smask: int, k: int) -> Optional[in
     if 2 * k > n:
         return None
     full = (1 << n) - 1
-    if k == 1:
-        x = 1 << IDENTITY
-        xs = product_mask(group, x, smask)
-        return x if (full & ~(x | xs)).bit_count() >= 1 else None
     tables = TranslateTables(group, smask)
     xs = tables.xs_masks()
     base = 1 << IDENTITY
     base_xs = xs[IDENTITY]
-    if k == 2:
-        for g in range(1, n):
-            x = base | (1 << g)
-            u = base_xs | xs[g]
-            if (full & ~(x | u)).bit_count() >= 2:
-                return x
-        return None
     # Greedy first: repeatedly add the element with the least product growth.
     x, u = base, base_xs
     for _ in range(k - 1):
@@ -623,8 +611,8 @@ def fragment_diagram(f1: GroupSubset, f2: GroupSubset, s: GroupSubset) -> Fragme
 def normalize(s: GroupSubset) -> tuple[GroupSubset, NormalizeReport]:
     """Right-translate S so its smallest element lands on the identity.
 
-    Returns the translated set and flags: whether it now contains the
-    identity (always true) and whether it generates the group.
+    Returns the translated set, which contains the identity, and a report:
+    whether it generates the group and which element was translated away.
     """
     if not s:
         raise PreconditionError("cannot normalize the empty set")
@@ -636,6 +624,4 @@ def normalize(s: GroupSubset) -> tuple[GroupSubset, NormalizeReport]:
         translated = s.right_translate(group.inverse[smallest])
     full = (1 << group.order) - 1
     generates = closure_mask(group, translated.indices()) == full
-    return translated, NormalizeReport(
-        contains_identity=True, generates=generates, translator=smallest
-    )
+    return translated, NormalizeReport(generates=generates, translator=smallest)

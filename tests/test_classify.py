@@ -8,6 +8,7 @@ import pytest
 
 from sumatoms import (
     Case,
+    GroupMismatchError,
     GroupSubset,
     PreconditionError,
     build_example,
@@ -60,7 +61,7 @@ def test_hypothesis_examples():
 def test_hypothesis_non_generating_routes_to_cover():
     g6 = make_cyclic(6)
     rep = hypothesis_holds(g6, subset(g6, 2, 4))
-    assert rep.holds and rep.route_case_ii and not rep.generates
+    assert rep.holds and not rep.generates
 
 
 def test_hypothesis_invariant_under_right_translation():
@@ -139,7 +140,7 @@ def test_structured_witness_below_the_exact_cap():
     # hypothesis_holds only runs the structured scan above order 48, so it
     # is checked directly here against the complete search and a literal
     # one-sided cover scan, on S and on S^-1.
-    from sumatoms.classify import _structured_boundary_witness, coset_cover_witness
+    from sumatoms.classify import _structured_boundary_witness
     from sumatoms.sumsets import boundary_witness, product_mask
 
     rng = random.Random(113)
@@ -173,7 +174,7 @@ def test_structured_witness_below_the_exact_cap():
                     break
             w = find_case_ii_subgroup(group, s)
             got = None if w is None else (w.subgroup.mask, "HS" if w.epsilon == 1 else "SH")
-            assert got == coset_cover_witness(group, s.mask, slack=1) == literal
+            assert got == literal
             covered += literal is not None
     assert found > 50 and covered > 50
 
@@ -236,39 +237,35 @@ def test_progression_examples():
 
 
 def test_progression_agrees_with_triple_scan():
-    rng = random.Random(77)
-    specs = [s for s in catalog_specs(10) if s.order >= 4]
-    for _ in range(50):
-        spec = specs[rng.randrange(len(specs))]
+    # Sg = {1, a, ...} gives gS = g(Sg)g^-1 = {1, gag^-1, ...} for the same
+    # g, so the detector scans left translates only.  A literal two-sided
+    # check agrees with it on every subset of the small catalog groups, and
+    # no set has a right-hand progression without a left-hand one.
+    checked = found = 0
+    for spec in catalog_specs(10):
         group = build_group(spec)
         n = group.order
-        size = rng.randint(2, n - 1)
-        s = GroupSubset.from_indices(group, rng.sample(range(n), size))
-        brute = False
-        for side in ("left", "right"):
-            for g in range(n):
-                if side == "left":
-                    t = permute_mask(s.mask, group.table[g])
-                else:
-                    t = permute_mask(s.mask, group.column(g))
-                for a in range(n):
-                    powers = 0
-                    x = 0
-                    ok = True
-                    for _ in range(size):
-                        if powers >> x & 1:
-                            ok = False
-                            break
-                        powers |= 1 << x
-                        x = group.table[a][x]
-                    if ok and powers == t:
-                        brute = True
-                        break
-                if brute:
+        progressions = set()
+        for a in range(n):
+            powers, x = 1 << 0, 0
+            for _ in range(n - 1):
+                x = group.table[a][x]
+                if powers >> x & 1:
                     break
-            if brute:
-                break
-        assert (detect_geometric_progression(group, s) is not None) == brute
+                powers |= 1 << x
+                progressions.add(powers)
+        perms = [("left", group.table[g]) for g in range(n)]
+        perms += [("right", group.column(g)) for g in range(n)]
+        for smask in range(1 << n):
+            if smask.bit_count() < 2:
+                continue
+            sides = {side for side, perm in perms if permute_mask(smask, perm) in progressions}
+            w = detect_geometric_progression(group, GroupSubset(group, smask))
+            assert (w is not None) == bool(sides) == ("left" in sides)
+            assert w is None or w.side == "left"
+            checked += 1
+            found += w is not None
+    assert (checked, found) == (4305, 935)
 
 
 def test_progression_scan_skips_short_orders(monkeypatch):
@@ -286,6 +283,28 @@ def test_progression_scan_skips_short_orders(monkeypatch):
     inst = build_example(11, 5)
     assert detect_geometric_progression(inst.group, inst.subset) is None
     assert calls == []
+
+
+def test_classify_layer_rejects_a_set_of_another_group():
+    # C8 and D4 have the same order, so index-level code would run silently
+    # and mix the two tables.
+    g8 = make_cyclic(8)
+    d4 = make_dihedral(4)
+    s = subset(d4, 0, 1, 4)
+    checks = (
+        hypothesis_holds,
+        classify,
+        detect_geometric_progression,
+        find_case_ii_subgroup,
+        find_case_iii_witness,
+        verify_mann,
+        verify_two_coset_theorem,
+    )
+    for check in checks:
+        with pytest.raises(GroupMismatchError):
+            check(g8, s)
+    with pytest.raises(GroupMismatchError):
+        check_corollary_bound(g8, s, classify(d4, s))
 
 
 def test_case_ii_examples():
@@ -427,6 +446,23 @@ def test_two_coset_statuses():
     inst_small = build_example(7, 3)
     verdict2 = verify_two_coset_theorem(inst_small.group, inst_small.subset)
     assert all(p.status == "verified" for p in verdict2.preconditions)
+
+
+def test_two_coset_early_exits():
+    # Each unmet early precondition stops the verifier before any atom
+    # search, and the report names it.
+    g6, g7, g5 = make_cyclic(6), make_cyclic(7), make_cyclic(5)
+    cases = (
+        (g6, subset(g6, 0, 2, 4), "generates"),  # spans only {0, 2, 4}
+        (g7, subset(g7, 0, 1), "set_size"),
+        # |XS| >= 4 for every pair X in C5 (Cauchy-Davenport): no 2-fragment
+        (g5, subset(g5, 0, 1, 2), "two_separable"),
+    )
+    for group, s, name in cases:
+        verdict = verify_two_coset_theorem(group, s)
+        assert not verdict.applicable and verdict.holds is None
+        assert [p.name for p in verdict.preconditions if p.status == "failed"] == [name]
+        assert verdict.transcript == ()
 
 
 def test_two_coset_precondition_not_met():

@@ -1,6 +1,8 @@
 import io
 from contextlib import redirect_stdout
 
+import pytest
+
 from sumatoms import digraphs
 from sumatoms.cli import main
 
@@ -22,6 +24,17 @@ def test_group_semidirect():
     code, out = run_cli("group", "--semidirect", "7", "3")
     assert code == 0
     assert "nonabelian" in out
+
+
+def test_usage_errors_exit_as_input_errors():
+    # argparse would exit 2, the code documented for an oracle mismatch.
+    code, _ = run_cli("classify", "--cyclic", "6", "--set", "0 2 3", "--k", "2")
+    assert code == 1
+    assert run_cli("bogus")[0] == 1
+    assert run_cli("atoms", "--cyclic", "7")[0] == 1  # --set is required
+    with pytest.raises(SystemExit) as exc:
+        run_cli("classify", "--help")
+    assert exc.value.code == 0
 
 
 def test_group_bad_file(tmp_path):

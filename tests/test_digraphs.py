@@ -383,6 +383,21 @@ def test_flow_matches_enumeration_to_sixteen_vertices():
             assert arc_connectivity_exhaustive(graph, k).lam == 1
 
 
+def test_flow_sides_are_minimum_cuts():
+    # The k = 1 flow route lists its atoms straight from the residual sides
+    # of minimum flows: each must have exactly lambda_1 outgoing arcs.
+    graphs = [directed_cycle(n) for n in range(17, 25)]
+    inst = build_example(23, 11)
+    graphs.append(build_quotient_graph(inst.group, inst.subgroup, inst.a))
+    for graph in graphs:
+        lam, sides = digraphs._flow_lambda1(graph)
+        assert sides
+        for side in sides:
+            leaving = sum(1 for u, v in graph.arcs() if side >> u & 1 and not side >> v & 1)
+            assert leaving == lam
+    assert graphs[-1].vertex_count == 23
+
+
 def test_transitive_sweep_matches_exhaustive():
     # exact_cap=2 forces the size-bounded sweep on every arc-transitive graph
     graphs = [directed_cycle(n) for n in range(3, 13)]

@@ -6,8 +6,12 @@ shared; the commands together reach the n > 24 (two-coset certificates)
 and n > 48 (structured hypothesis witnesses) paths.  The three ``quotient``
 reports pin the cut engines' ``arc_cut.*`` lines: the exhaustive scan with a
 complete and with a truncated atom list, and the transitive sweep with a
-truncated one.  Commands are split shell-style, so a quoted set literal
-stays one argument.
+truncated one.  The ``group``, ``atoms``, ``classify --set``, ``example``
+and ``scan`` digests pin every other command's report, ``config.*`` header
+included (a CASE_I set with translator 1 and a CASE_II set); they were
+recorded before the header moved from a config object onto the parsed
+arguments.  Commands are split shell-style, so a quoted set literal stays
+one argument.
 """
 
 import hashlib
@@ -40,6 +44,24 @@ GOLDEN = {
     ),
     "classify --semidirect 11 5 --example": (
         "12cd12bed96f0db1c2fcf559f575b7364caedad44bef16c9ea23f3e3115c6d61"
+    ),
+    "group --cyclic 6": (
+        "8860f36c934ba76453c703467e2e499d2f476818e831354f2f34863a574d3692"
+    ),
+    'atoms --cyclic 7 --set "0 1 2" --k 2 --oracle --atom-cap 4': (
+        "7ad035848dc1a004662795eda244b3c7d0c44fd82dd96c35555809f83a4bd2ba"
+    ),
+    'classify --cyclic 7 --set "1 2 5"': (
+        "223e031e3589ae6615f0c55e496dd0b13480087e0f6e906ff602b19535e88f47"
+    ),
+    'classify --cyclic 6 --set "0 2 3"': (
+        "e6a4244f22beb67ec488059cae309bc1fe7c1251de6a9ff3718240b0a52ecf80"
+    ),
+    "example 7 3": (
+        "89ba22ca1a19b645e0c99d1a50a819934d0f071817d1dae811ede094b3bc6ef9"
+    ),
+    "scan --limit 25": (
+        "f48d279f1b332c82b2e290a1b99864051cfa3236dd7f292aa5ee4c578d28ef0a"
     ),
     'quotient --semidirect 7 3 --subgroup "0 1 2" --element 3 --k 3': (
         "de38962614c0282a591dbd0a0a98cda8bc0597d90fa86fe8cee1898c6b18ae5c"
