@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
     direct_product,
     make_cyclic,
@@ -92,20 +91,21 @@ def catalog_specs(max_order: int) -> list[GroupSpec]:
     return specs
 
 
-def build_group(spec: GroupSpec, *, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def build_group(spec: GroupSpec) -> FiniteGroup:
+    """The group of ``spec``, built under the default order cap."""
     if spec.kind == "cyclic":
-        return make_cyclic(spec.params[0], cap=cap)
+        return make_cyclic(spec.params[0])
     if spec.kind == "dihedral":
-        return make_dihedral(spec.params[0], cap=cap)
+        return make_dihedral(spec.params[0])
     if spec.kind == "semidirect":
-        return make_semidirect(spec.params[0], spec.params[1], cap=cap)
+        return make_semidirect(spec.params[0], spec.params[1])
     if spec.kind == "product":
         factors = [
             (spec.params[i], spec.params[i + 1]) for i in range(0, len(spec.params), 2)
         ]
         group = None
         for param, dihedral in factors:
-            piece = make_dihedral(param, cap=cap) if dihedral else make_cyclic(param, cap=cap)
-            group = piece if group is None else direct_product(group, piece, cap=cap)
+            piece = make_dihedral(param) if dihedral else make_cyclic(param)
+            group = piece if group is None else direct_product(group, piece)
         return group
     raise ValueError(f"unknown spec kind {spec.kind!r}")

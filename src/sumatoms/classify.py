@@ -84,7 +84,7 @@ def entry(name: str, lhs: int, relation: str, rhs: int) -> TranscriptEntry:
 
 @dataclass(frozen=True)
 class CaseIWitness:
-    side: str  # "left" for gS, "right" for Sg
+    side: str  # always "left": gS is the progression (see detect_geometric_progression)
     g: int
     a: int
 
@@ -329,10 +329,7 @@ def _eps_mask(group: FiniteGroup, s: GroupSubset, epsilon: int) -> int:
 def _verify_case_i(
     group: FiniteGroup, s: GroupSubset, w: CaseIWitness
 ) -> list[TranscriptEntry]:
-    if w.side == "left":
-        t = permute_mask(s.mask, group.table[w.g])
-    else:
-        t = permute_mask(s.mask, group.column(w.g))
+    t = permute_mask(s.mask, group.table[w.g])
     powers = 1 << IDENTITY
     x = IDENTITY
     for _ in range(len(s) - 1):

@@ -46,8 +46,9 @@ from .groups import (
     make_dihedral,
     make_semidirect,
 )
-from .sumsets import DEFAULT_ORACLE_ORDER_CAP, find_atoms, oracle_atoms
+from .sumsets import DEFAULT_ATOM_CAP, DEFAULT_ORACLE_ORDER_CAP, find_atoms, oracle_atoms
 from .sweeps import (
+    SweepResult,
     sweep_graph_lemmas,
     sweep_intersection,
     sweep_main_theorem,
@@ -63,6 +64,8 @@ EXIT_ORACLE_MISMATCH = 2
 EXIT_NOT_SEPARABLE = 3
 EXIT_VIOLATION = 4
 
+DEFAULT_SEED = 0
+
 
 class _Parser(argparse.ArgumentParser):
     """Reports usage errors as input errors (exit 1), not argparse's exit 2."""
@@ -72,13 +75,22 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("human", "machine"), default="human")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP)
-    parser.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_ORDER_CAP)
-    parser.add_argument("--atom-cap", type=int, default=256, help="atom list size cap")
+# Each option is (flag, keyword arguments); a parser takes only those its
+# command reads.
+_FORMAT = ("--format", {"choices": ("human", "machine"), "default": "human"})
+_ORDER_CAP = ("--order-cap", {"type": int, "default": DEFAULT_ORDER_CAP})
+_ORACLE_CAP = ("--oracle-cap", {"type": int, "default": DEFAULT_ORACLE_ORDER_CAP})
+_ATOM_CAP = ("--atom-cap", {"type": int, "default": DEFAULT_ATOM_CAP, "help": "atom list size cap"})
+_SEED = ("--seed", {"type": int, "default": DEFAULT_SEED, "help": "seed for sampled checks"})
+_WORKERS = ("--workers", {"type": int, "default": 1})
+_MAX_ORDER = ("--max-order", {"type": int, "default": 12})
+_SAMPLES = ("--samples", {"type": int, "default": 200, "help": "sample count"})
+_LIMIT = ("--limit", {"type": int, "default": 25, "help": "prime limit"})
+
+
+def _add_options(parser: argparse.ArgumentParser, *options: tuple[str, dict]) -> None:
+    for flag, kwargs in options:
+        parser.add_argument(flag, **kwargs)
 
 
 def _add_group_source(parser: argparse.ArgumentParser) -> None:
@@ -102,7 +114,13 @@ def _resolve_group(args: argparse.Namespace) -> FiniteGroup:
 
 def _emit(args: argparse.Namespace, pairs: list[tuple[str, object]], human_lines: list[str]) -> None:
     if args.format == "machine":
-        header = reports.header_pairs(args.command, args.seed, args.order_cap, args.oracle_cap)
+        # A command without one of these flags runs with, and prints, its default.
+        header = reports.header_pairs(
+            args.command,
+            getattr(args, "seed", DEFAULT_SEED),
+            getattr(args, "order_cap", DEFAULT_ORDER_CAP),
+            getattr(args, "oracle_cap", DEFAULT_ORACLE_ORDER_CAP),
+        )
         sys.stdout.write(reports.render_kv(header + pairs))
     else:
         for line in human_lines:
@@ -177,30 +195,26 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if result.case is Case.VIOLATION else EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    suite = args.suite
-    if suite == "main-theorem":
-        result = sweep_main_theorem(args.max_order, workers=args.workers)
-    elif suite == "intersection":
-        result = sweep_intersection(args.max_order, workers=args.workers)
-    elif suite == "mann":
-        result = sweep_mann(args.max_order, workers=args.workers)
-    elif suite == "two-coset":
-        if args.family not in (None, "sophie-germain"):
-            raise ParseError(f"unknown family {args.family!r}")
-        result = sweep_two_coset(args.limit)
-    elif suite == "graph-lemmas":
-        result = sweep_graph_lemmas(args.max_order)
-    elif suite == "oracle":
-        catalog = sweep_oracle_catalog(args.max_order, workers=args.workers)
-        sampled = sweep_oracle_random(args.samples, args.seed, args.max_order)
-        from .sweeps import SweepResult
+def _verify_oracle(args: argparse.Namespace) -> SweepResult:
+    catalog = sweep_oracle_catalog(args.max_order, workers=args.workers)
+    sampled = sweep_oracle_random(args.samples, args.seed, args.max_order)
+    return SweepResult("oracle", catalog.rows + sampled.rows, catalog.failures + sampled.failures)
 
-        result = SweepResult(
-            "oracle", catalog.rows + sampled.rows, catalog.failures + sampled.failures
-        )
-    else:
-        raise ParseError(f"unknown suite {suite!r}")
+
+_CATALOG_SWEEP = (_MAX_ORDER, _WORKERS)
+# Suite name -> (the sweep, run on the parsed arguments; the options it reads).
+_SUITES = {
+    "main-theorem": (lambda a: sweep_main_theorem(a.max_order, workers=a.workers), _CATALOG_SWEEP),
+    "intersection": (lambda a: sweep_intersection(a.max_order, workers=a.workers), _CATALOG_SWEEP),
+    "mann": (lambda a: sweep_mann(a.max_order, workers=a.workers), _CATALOG_SWEEP),
+    "two-coset": (lambda a: sweep_two_coset(a.limit), (_LIMIT,)),
+    "graph-lemmas": (lambda a: sweep_graph_lemmas(a.max_order), (_MAX_ORDER,)),
+    "oracle": (_verify_oracle, (_MAX_ORDER, _SAMPLES, _SEED, _WORKERS)),
+}
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    result = _SUITES[args.suite][0](args)
     pairs = reports.sweep_pairs(result)
     human = [f"suite {result.suite}: {len(result.rows)} rows"]
     human.extend(f"  FAIL {f}" for f in result.failures)
@@ -302,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_group = sub.add_parser("group", help="construct or load a group and report on it")
     _add_group_source(p_group)
-    _add_common(p_group)
+    _add_options(p_group, _FORMAT, _ORDER_CAP)
     p_group.set_defaults(fn=cmd_group)
 
     p_atoms = sub.add_parser("atoms", help="isoperimetric number and atoms of a set")
@@ -310,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_atoms.add_argument("--set", required=True, help="subset literal, e.g. '0 1 3'")
     p_atoms.add_argument("--k", type=int, default=2)
     p_atoms.add_argument("--oracle", action="store_true", help="cross-check exhaustively")
-    _add_common(p_atoms)
+    _add_options(p_atoms, _FORMAT, _ORDER_CAP, _ORACLE_CAP, _ATOM_CAP)
     p_atoms.set_defaults(fn=cmd_atoms)
 
     p_classify = sub.add_parser("classify", help="structure case of (G, S)")
@@ -321,26 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the family set of the --semidirect group",
     )
-    _add_common(p_classify)
+    _add_options(p_classify, _FORMAT, _ORDER_CAP)
     p_classify.set_defaults(fn=cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run an exhaustive verification sweep")
-    p_verify.add_argument(
-        "suite",
-        choices=("main-theorem", "intersection", "mann", "two-coset", "graph-lemmas", "oracle"),
-    )
-    p_verify.add_argument("--max-order", type=int, default=12)
-    p_verify.add_argument("--family", help="two-coset: family name (sophie-germain)")
-    p_verify.add_argument("--limit", type=int, default=25, help="two-coset: prime limit")
-    p_verify.add_argument("--samples", type=int, default=200, help="oracle: sample count")
-    _add_common(p_verify)
+    suites = p_verify.add_subparsers(dest="suite", required=True)
+    for name, (_, options) in _SUITES.items():
+        _add_options(suites.add_parser(name), *options, _FORMAT)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_example = sub.add_parser("example", help="build and verify a family member")
     p_example.add_argument("p", type=int)
     p_example.add_argument("q", type=int)
     p_example.add_argument("--dump-gtf", action="store_true")
-    _add_common(p_example)
+    _add_options(p_example, _FORMAT, _ORDER_CAP)
     p_example.set_defaults(fn=cmd_example)
 
     p_quot = sub.add_parser("quotient", help="coset quotient digraph: dump and certify")
@@ -348,12 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_quot.add_argument("--subgroup", required=True, help="subgroup literal, e.g. '0 1 2'")
     p_quot.add_argument("--element", type=int, required=True, help="element a outside H")
     p_quot.add_argument("--k", type=int, help="also compute arc connectivity at level k")
-    _add_common(p_quot)
+    _add_options(p_quot, _FORMAT, _ORDER_CAP)
     p_quot.set_defaults(fn=cmd_quotient)
 
     p_scan = sub.add_parser("scan", help="list family parameter pairs up to a limit")
-    p_scan.add_argument("--limit", type=int, default=25)
-    _add_common(p_scan)
+    _add_options(p_scan, _LIMIT, _FORMAT, _ORDER_CAP)
     p_scan.set_defaults(fn=cmd_scan)
 
     return parser
@@ -362,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.workers < 1:
+        if getattr(args, "workers", 1) < 1:
             raise PreconditionError("worker count must be at least 1")
-        if args.order_cap < 1 or args.oracle_cap < 1 or args.atom_cap < 1:
+        if min(getattr(args, cap, 1) for cap in ("order_cap", "oracle_cap", "atom_cap")) < 1:
             raise PreconditionError("caps must be positive")
         return args.fn(args)
     except EngineMismatchError as exc:

@@ -241,20 +241,6 @@ def _separability_witness(group: FiniteGroup, smask: int, k: int) -> Optional[in
     xs = tables.xs_masks()
     base = 1 << IDENTITY
     base_xs = xs[IDENTITY]
-    # Greedy first: repeatedly add the element with the least product growth.
-    x, u = base, base_xs
-    for _ in range(k - 1):
-        best_g, best_count, best_u = -1, n + 1, 0
-        for g in range(1, n):
-            if x >> g & 1:
-                continue
-            cand = u | xs[g]
-            if cand.bit_count() < best_count:
-                best_g, best_count, best_u = g, cand.bit_count(), cand
-        x |= 1 << best_g
-        u = best_u
-    if (full & ~(x | u)).bit_count() >= k:
-        return x
     for combo in combinations(range(1, n), k - 1):
         x = base | mask_from_indices(combo)
         u = base_xs
@@ -444,12 +430,10 @@ def isoperimetric_number(s: GroupSubset, k: int) -> int:
     return find_atoms(s, k).kappa
 
 
-def find_fragments(
-    s: GroupSubset, k: int, *, cap: int = DEFAULT_ATOM_CAP
-) -> tuple[GroupSubset, ...]:
-    """All k-fragments containing the identity, of every admissible size."""
+def find_fragments(s: GroupSubset, k: int) -> tuple[GroupSubset, ...]:
+    """All k-fragments containing the identity, of every size, at most ``DEFAULT_ATOM_CAP`` per size."""
     _checked_input(s, k)
-    tally = _tally(_admissible_sets(s.group, s.mask, k), k, cap)
+    tally = _tally(_admissible_sets(s.group, s.mask, k), k, DEFAULT_ATOM_CAP)
     return tuple(GroupSubset(s.group, m) for m in tally.fragment_masks())
 
 
@@ -532,19 +516,14 @@ def maximal_left_period(a: GroupSubset) -> GroupSubset:
     return GroupSubset(group, out)
 
 
+def _left_translates(group: FiniteGroup, masks: Iterable[int]) -> set[int]:
+    """The distinct masks gX for g in the group and X in ``masks``."""
+    return {permute_mask(m, row) for m in masks for row in group.table}
+
+
 def atom_translates(report: FragmentReport, group: FiniteGroup) -> list[int]:
     """Masks of all distinct atoms, i.e. all left translates of the listed ones."""
-    table = group.table
-    seen = set()
-    out = []
-    for atom in report.atoms:
-        for g in range(group.order):
-            m = permute_mask(atom.mask, table[g])
-            if m not in seen:
-                seen.add(m)
-                out.append(m)
-    out.sort(key=indices_tuple)
-    return out
+    return sorted(_left_translates(group, (a.mask for a in report.atoms)), key=indices_tuple)
 
 
 def _overlapping_pair(masks: list[int], k: int) -> Optional[tuple[int, int]]:

@@ -52,8 +52,9 @@ from .groups import (
     generated_subgroup,
 )
 from .sumsets import (
-    TranslateTables,
     _atoms_and_fragment_masks,
+    _every_admissible_set,
+    _left_translates,
     _overlapping_pair,
     _separability_witness,
     atom_translates,
@@ -263,22 +264,10 @@ class MannRow:
 
 def _t_enumeration(group: FiniteGroup, smask: int) -> bool:
     # Exists nonempty T with |T S| <= |T| + |S| - 2 and TS != G; T may be
-    # translated to contain the identity.
-    n = group.order
-    full = (1 << n) - 1
+    # translated to contain the identity.  The oracle's plain walk visits
+    # every such T with TS != G and yields |TS| - |T|.
     slack = smask.bit_count() - 2
-    tables = TranslateTables(group, smask)
-    xs = tables.xs_masks()
-
-    def rec(t: int, prod: int, size: int, start: int) -> bool:
-        if prod != full and prod.bit_count() <= size + slack:
-            return True
-        for c in range(start, n):
-            if rec(t | (1 << c), prod | xs[c], size + 1, c + 1):
-                return True
-        return False
-
-    return rec(1, xs[IDENTITY], 1, 1)
+    return any(b <= slack for _, _, b in _every_admissible_set(group, smask, 1))
 
 
 def _mann_group(spec: GroupSpec) -> MannRow:
@@ -336,6 +325,11 @@ class IntersectionRow:
     failures: tuple[str, ...]
 
 
+def _straddles(atom: int, fragments: set[int], k: int) -> bool:
+    """Whether the atom meets some fragment in k or more points without lying inside it."""
+    return any(atom & ~f and (atom & f).bit_count() >= k for f in fragments)
+
+
 def _intersection_group(spec: GroupSpec) -> IntersectionRow:
     group = build_group(spec)
     n = group.order
@@ -360,17 +354,8 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
                 failures.append(f"kappa differs under inversion: {name}")
             if rep.alpha <= rep_inv.alpha:
                 frag_checked += 1
-                frag_masks = {permute_mask(f, row) for f in fragments for row in group.table}
-                bad_pair = False
-                for a in (x.mask for x in rep.atoms):
-                    for f in frag_masks:
-                        inside = a & ~f == 0
-                        if not inside and (a & f).bit_count() > 1:
-                            bad_pair = True
-                            break
-                    if bad_pair:
-                        break
-                if bad_pair:
+                frag_masks = _left_translates(group, fragments)
+                if any(_straddles(atom.mask, frag_masks, 2) for atom in rep.atoms):
                     failures.append(f"atom/fragment overlap: {name}")
         if _separability_witness(group, smask, 1) is not None:
             rep1, fragments1 = _atoms_and_fragment_masks(subset, 1)
@@ -382,12 +367,10 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
                         failures.append(f"level-1 atom not a subgroup: {name}")
             if two_separable and rep.alpha <= rep_inv.alpha:
                 # level-1 atoms sit inside or entirely outside every fragment
-                frag_masks = {permute_mask(f, row) for f in fragments1 for row in group.table}
+                frag_masks = _left_translates(group, fragments1)
                 for atom in rep1.atoms:
-                    for f in frag_masks:
-                        if atom.mask & ~f and atom.mask & f:
-                            failures.append(f"level-1 atom straddles fragment: {name}")
-                            break
+                    if _straddles(atom.mask, frag_masks, 1):
+                        failures.append(f"level-1 atom straddles fragment: {name}")
     return IntersectionRow(
         spec.name, pairwise, frag_checked, subgroup_checked, tuple(failures)
     )

@@ -1,10 +1,12 @@
+import argparse
 import io
+import shlex
 from contextlib import redirect_stdout
 
 import pytest
 
 from sumatoms import digraphs
-from sumatoms.cli import main
+from sumatoms.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -84,7 +86,7 @@ def test_example_command():
 
 
 def test_verify_two_coset():
-    code, out = run_cli("verify", "two-coset", "--family", "sophie-germain", "--limit", "25")
+    code, out = run_cli("verify", "two-coset", "--limit", "25")
     assert code == 0 and "PASS" in out
 
 
@@ -146,3 +148,92 @@ def test_machine_format_worker_independent():
     _, a = run_cli("verify", "mann", "--max-order", "6", "--format", "machine", "--workers", "1")
     _, b = run_cli("verify", "mann", "--max-order", "6", "--format", "machine", "--workers", "2")
     assert a == b
+
+
+# What each command and each verify suite reads; a parser accepts exactly these.
+GROUP_SOURCE = {"--cyclic", "--dihedral", "--semidirect", "--file"}
+COMMAND_OPTIONS = {
+    "group": GROUP_SOURCE | {"--format", "--order-cap"},
+    "atoms": GROUP_SOURCE
+    | {"--set", "--k", "--oracle", "--format", "--order-cap", "--oracle-cap", "--atom-cap"},
+    "classify": GROUP_SOURCE | {"--set", "--example", "--format", "--order-cap"},
+    "verify": set(),
+    "example": {"--dump-gtf", "--format", "--order-cap"},
+    "quotient": GROUP_SOURCE | {"--subgroup", "--element", "--k", "--format", "--order-cap"},
+    "scan": {"--limit", "--format", "--order-cap"},
+}
+SUITE_OPTIONS = {
+    "main-theorem": {"--max-order", "--workers", "--format"},
+    "intersection": {"--max-order", "--workers", "--format"},
+    "mann": {"--max-order", "--workers", "--format"},
+    "oracle": {"--max-order", "--samples", "--seed", "--workers", "--format"},
+    "graph-lemmas": {"--max-order", "--format"},
+    "two-coset": {"--limit", "--format"},
+}
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _options(parser):
+    return {
+        flag for a in parser._actions for flag in a.option_strings if flag not in ("-h", "--help")
+    }
+
+
+def test_each_parser_accepts_exactly_what_it_reads():
+    commands = _subparsers(build_parser())
+    assert {name: _options(p) for name, p in commands.items()} == COMMAND_OPTIONS
+    suites = _subparsers(commands["verify"])
+    assert {name: _options(p) for name, p in suites.items()} == SUITE_OPTIONS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "group --cyclic 6 --workers 8",
+        "group --cyclic 6 --atom-cap 3",
+        "group --cyclic 6 --seed 3",
+        'atoms --cyclic 7 --set "0 1 2" --workers 2',
+        'classify --cyclic 7 --set "0 1 2" --seed 3',
+        'classify --cyclic 7 --set "0 1 2" --oracle-cap 5',
+        "example 7 3 --workers 2",
+        'quotient --cyclic 6 --subgroup "0 3" --element 1 --seed 1',
+        "scan --limit 25 --atom-cap 3",
+        "verify --max-order 6 mann",
+        "verify mann --max-order 6 --order-cap 100",
+        "verify graph-lemmas --workers 2",
+        "verify two-coset --family sophie-germain",
+        "verify two-coset --limit 12 --max-order 99 --samples 7 --workers 3",
+        "verify main-theorem --seed 1",
+        "verify oracle --limit 12",
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(argv):
+    code, out = run_cli(*shlex.split(argv))
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "group --cyclic 6 --order-cap 0",
+        "scan --limit 25 --order-cap 0",
+        'atoms --cyclic 7 --set "0 1 2" --oracle-cap 0',
+        'atoms --cyclic 7 --set "0 1 2" --atom-cap 0',
+        "verify mann --max-order 6 --workers 0",
+        "verify oracle --max-order 6 --workers 0",
+    ],
+)
+def test_nonpositive_workers_and_caps_are_unmet_preconditions(argv):
+    code, out = run_cli(*shlex.split(argv))
+    assert code == 3 and out == ""
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_OPTIONS))
+def test_suite_help_exits_0(suite):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", suite, "--help")
+    assert exc.value.code == 0
