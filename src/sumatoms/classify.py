@@ -494,13 +494,9 @@ class MannVerdict:
 
     hypothesis: bool
     witness_subgroup: Optional[GroupSubset]
-    witness_side: Optional[str]
     consistent: bool
     normalized: GroupSubset
     translator: int
-
-
-_COVER_SIDE = {1: "HS", -1: "SH"}
 
 
 def verify_mann(group: FiniteGroup, s: GroupSubset) -> MannVerdict:
@@ -528,7 +524,6 @@ def verify_mann(group: FiniteGroup, s: GroupSubset) -> MannVerdict:
     return MannVerdict(
         hypothesis=hypothesis,
         witness_subgroup=found[0] if found else None,
-        witness_side=_COVER_SIDE[found[1]] if found else None,
         consistent=(not hypothesis) or found is not None,
         normalized=s1,
         translator=norm.translator,
@@ -553,8 +548,6 @@ class TwoCosetVerdict:
     applicable: bool
     holds: Optional[bool]
     preconditions: tuple[PreconditionStatus, ...]
-    atom_subgroup: Optional[GroupSubset]
-    atom_translate: Optional[int]
     transcript: tuple[TranscriptEntry, ...]
     normalized: GroupSubset
 
@@ -625,7 +618,7 @@ def verify_two_coset_theorem(group: FiniteGroup, s: GroupSubset) -> TwoCosetVerd
     status("generates", norm.generates, "normalized set generates the group")
     status("set_size", len(s1) >= 3, f"|S| = {len(s1)}")
     if failed:
-        return TwoCosetVerdict(False, None, tuple(pre), None, None, (), s1)
+        return TwoCosetVerdict(False, None, tuple(pre), (), s1)
 
     target = len(s1) - 1
     tables = s1.translates
@@ -635,7 +628,7 @@ def verify_two_coset_theorem(group: FiniteGroup, s: GroupSubset) -> TwoCosetVerd
             rep2 = find_atoms(s1, 2)
         except PreconditionError:
             status("two_separable", False, "set is not 2-separable")
-            return TwoCosetVerdict(False, None, tuple(pre), None, None, (), s1)
+            return TwoCosetVerdict(False, None, tuple(pre), (), s1)
         kappa2 = rep2.kappa
         status("kappa2_equals_size_minus_1", kappa2 == target, f"kappa_2 = {kappa2}")
         kappa1_wit = boundary_witness(group, s1.mask, 1, target - 1)
@@ -709,18 +702,15 @@ def verify_two_coset_theorem(group: FiniteGroup, s: GroupSubset) -> TwoCosetVerd
             )
             candidates.append((hmask, a))
     if failed or not candidates:
-        return TwoCosetVerdict(False, None, tuple(pre), None, None, (), s1)
+        return TwoCosetVerdict(False, None, tuple(pre), (), s1)
     transcript: list[TranscriptEntry] = []
     for hmask, a in candidates:
         amask = hmask | right_coset_mask(group, hmask, a)
         transcript.extend(_two_coset_conclusion(tables, hmask, amask))
-    hmask, a = candidates[0]
     return TwoCosetVerdict(
         applicable=True,
         holds=all(e.passed for e in transcript),
         preconditions=tuple(pre),
-        atom_subgroup=GroupSubset(group, hmask),
-        atom_translate=a,
         transcript=tuple(transcript),
         normalized=s1,
     )

@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_group = sub.add_parser("group", help="construct or load a group and report on it")
     _add_group_source(p_group)
     _add_options(p_group, _FORMAT, _ORDER_CAP)
-    p_group.set_defaults(fn=cmd_group)
+    p_group.set_defaults(fn=cmd_group, parser=p_group)
 
     p_atoms = sub.add_parser("atoms", help="isoperimetric number and atoms of a set")
     _add_group_source(p_atoms)
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_atoms.add_argument("--k", type=int, default=2)
     p_atoms.add_argument("--oracle", action="store_true", help="cross-check exhaustively")
     _add_options(p_atoms, _FORMAT, _ORDER_CAP, _ORACLE_CAP, _ATOM_CAP)
-    p_atoms.set_defaults(fn=cmd_atoms)
+    p_atoms.set_defaults(fn=cmd_atoms, parser=p_atoms)
 
     p_classify = sub.add_parser("classify", help="structure case of (G, S)")
     _add_group_source(p_classify)
@@ -336,12 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the family set of the --semidirect group",
     )
     _add_options(p_classify, _FORMAT, _ORDER_CAP)
-    p_classify.set_defaults(fn=cmd_classify)
+    p_classify.set_defaults(fn=cmd_classify, parser=p_classify)
 
     p_verify = sub.add_parser("verify", help="run an exhaustive verification sweep")
     suites = p_verify.add_subparsers(dest="suite", required=True)
     for name, (_, options) in _SUITES.items():
-        _add_options(suites.add_parser(name), *options, _FORMAT)
+        p_suite = suites.add_parser(name)
+        _add_options(p_suite, *options, _FORMAT)
+        p_suite.set_defaults(parser=p_suite)
     p_verify.set_defaults(fn=cmd_verify)
 
     p_example = sub.add_parser("example", help="build and verify a family member")
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_example.add_argument("q", type=int)
     p_example.add_argument("--dump-gtf", action="store_true")
     _add_options(p_example, _FORMAT, _ORDER_CAP)
-    p_example.set_defaults(fn=cmd_example)
+    p_example.set_defaults(fn=cmd_example, parser=p_example)
 
     p_quot = sub.add_parser("quotient", help="coset quotient digraph: dump and certify")
     _add_group_source(p_quot)
@@ -357,18 +359,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_quot.add_argument("--element", type=int, required=True, help="element a outside H")
     p_quot.add_argument("--k", type=int, help="also compute arc connectivity at level k")
     _add_options(p_quot, _FORMAT, _ORDER_CAP)
-    p_quot.set_defaults(fn=cmd_quotient)
+    p_quot.set_defaults(fn=cmd_quotient, parser=p_quot)
 
     p_scan = sub.add_parser("scan", help="list family parameter pairs up to a limit")
     _add_options(p_scan, _LIMIT, _FORMAT, _ORDER_CAP)
-    p_scan.set_defaults(fn=cmd_scan)
+    p_scan.set_defaults(fn=cmd_scan, parser=p_scan)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            # parse_args would report these under the top-level usage line; the
+            # command's own parser shows the options it does take.
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         if getattr(args, "workers", 1) < 1:
             raise PreconditionError("worker count must be at least 1")
         if min(getattr(args, cap, 1) for cap in ("order_cap", "oracle_cap", "atom_cap")) < 1:

@@ -36,7 +36,6 @@ class DirectedGraph:
     """A simple digraph on vertices 0..n-1, adjacency stored as bitmasks."""
 
     out_masks: tuple[int, ...]
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         n = len(self.out_masks)
@@ -167,17 +166,13 @@ def build_quotient_graph(
         for y in bit_indices(image):
             mask |= 1 << coset_of[y]
         out.append(mask)
-    labels = tuple(str(rep) for rep in reps)
-    return DirectedGraph(tuple(out), labels=labels)
+    return DirectedGraph(tuple(out))
 
 
 @dataclass(frozen=True)
 class TransitivityVerdict:
     """Certificate that coset translations act as graph symmetries."""
 
-    translations_are_automorphisms: bool
-    vertex_transitive: bool
-    neighbor_action_transitive: bool
     regular: bool
     degree: Optional[int]
     failures: tuple[str, ...]
@@ -213,22 +208,18 @@ def verify_translation_transitivity(
     if len(reps) != n:
         raise PreconditionError("graph does not match the coset structure")
     out = graph.out_masks
-    autos_ok = True
     orbit_of_base = set()
     for z in range(group.order):
         perm = _vertex_translation(group, reps, coset_of, z)
         orbit_of_base.add(perm[0])
         if len(set(perm)) != n:
-            autos_ok = False
             failures.append(f"translation by {z} is not a vertex bijection")
             continue
         for u in range(n):
             if permute_mask(out[u], perm) != out[perm[u]]:
-                autos_ok = False
                 failures.append(f"translation by {z} breaks arcs at vertex {u}")
                 break
-    vertex_transitive = len(orbit_of_base) == n
-    if not vertex_transitive:
+    if len(orbit_of_base) != n:
         failures.append("translations do not act transitively on vertices")
     neighbors = list(bit_indices(out[0]))
     reached = set()
@@ -239,8 +230,7 @@ def verify_translation_transitivity(
             continue
         if neighbors:
             reached.add(perm[neighbors[0]])
-    neighbor_transitive = set(neighbors) <= reached if neighbors else True
-    if not neighbor_transitive:
+    if not set(neighbors) <= reached:
         failures.append("subgroup translations not transitive on base out-neighbors")
     degrees = {m.bit_count() for m in out}
     in_degrees = {m.bit_count() for m in graph.in_masks()}
@@ -248,9 +238,6 @@ def verify_translation_transitivity(
     if not regular:
         failures.append("graph is not regular with equal in- and out-degrees")
     return TransitivityVerdict(
-        translations_are_automorphisms=autos_ok,
-        vertex_transitive=vertex_transitive,
-        neighbor_action_transitive=neighbor_transitive,
         regular=regular,
         degree=degrees.pop() if len(degrees) == 1 else None,
         failures=tuple(failures),
@@ -259,16 +246,6 @@ def verify_translation_transitivity(
 
 # ---------------------------------------------------------------------------
 # Cuts and arc connectivity
-
-
-def outgoing_arcs(graph: DirectedGraph, vertices: Iterable[int]) -> int:
-    """Number of arcs from the vertex set to its complement."""
-    cmask = 0
-    for v in vertices:
-        if not 0 <= v < graph.vertex_count:
-            raise PreconditionError(f"vertex {v} out of range")
-        cmask |= 1 << v
-    return _outgoing(graph.out_masks, cmask)
 
 
 def _outgoing(out_masks: tuple[int, ...], cmask: int) -> int:
@@ -305,6 +282,8 @@ def is_strongly_connected(graph: DirectedGraph) -> bool:
 
 
 def _require_k_separable(graph: DirectedGraph, k: int) -> None:
+    if k < 1:
+        raise PreconditionError(f"k must be positive, got {k}")
     if graph.vertex_count < 2 * k:
         raise PreconditionError(f"graph is not {k}-separable")
     if not is_strongly_connected(graph):
@@ -551,14 +530,6 @@ def is_antisymmetric(graph: DirectedGraph) -> bool:
             if out[v] >> u & 1:
                 return False
     return True
-
-
-def is_symmetric(graph: DirectedGraph) -> bool:
-    """Every arc has its reverse."""
-    out = graph.out_masks
-    return all(
-        out[v] >> u & 1 for u in range(graph.vertex_count) for v in bit_indices(out[u])
-    )
 
 
 def every_arc_in_oriented_triangle(graph: DirectedGraph) -> bool:

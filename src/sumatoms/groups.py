@@ -599,14 +599,6 @@ def double_coset_pairs(
                 yield h, a, h.mask | right_coset_mask(group, h.mask, a)
 
 
-def double_coset_size(group: FiniteGroup, subgroup: GroupSubset, a: int) -> int:
-    """|H a H|, computed by direct expansion."""
-    if subgroup.group is not group:
-        raise GroupMismatchError("subgroup belongs to a different group")
-    _require_subgroup(subgroup)
-    return double_coset_mask(group, subgroup.mask, a).bit_count()
-
-
 def right_coset_decomposition(
     group: FiniteGroup, subset: GroupSubset, subgroup: GroupSubset
 ) -> list[GroupSubset]:

@@ -61,56 +61,9 @@ class FragmentReport:
 
 
 @dataclass(frozen=True)
-class FragmentDiagram:
-    """Cell counts of the common refinement of two fragment partitions.
-
-    Each of F1, F2 splits the group into (F, boundary, remainder); the nine
-    intersection counts always sum to the group order.
-    """
-
-    beta_12: int
-    beta_21: int
-    beta_p12: int
-    beta_p21: int
-    gamma: int
-    f1_f2: int
-    f1_f2star: int
-    f1star_f2: int
-    f1star_f2star: int
-    group_order: int
-
-    @property
-    def cell_total(self) -> int:
-        return (
-            self.f1_f2
-            + self.beta_12
-            + self.f1_f2star
-            + self.beta_21
-            + self.gamma
-            + self.beta_p21
-            + self.f1star_f2
-            + self.beta_p12
-            + self.f1star_f2star
-        )
-
-
-@dataclass(frozen=True)
 class NormalizeReport:
     generates: bool
     translator: int
-
-
-@dataclass(frozen=True)
-class IntersectionVerdict:
-    """Outcome of the pairwise atom-intersection check."""
-
-    k: int
-    applicable: bool
-    holds: Optional[bool]
-    kappa: int
-    alpha: int
-    atom_count: int
-    counterexample: Optional[tuple[GroupSubset, GroupSubset]]
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +186,7 @@ def _separability_witness(group: FiniteGroup, smask: int, k: int) -> Optional[in
     """
     n = group.order
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise PreconditionError(f"k must be positive, got {k}")
     if 2 * k > n:
         return None
     full = (1 << n) - 1
@@ -407,7 +360,7 @@ def _fragment_report(
 
 def _checked_input(s: GroupSubset, k: int) -> None:
     if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+        raise PreconditionError(f"k must be positive, got {k}")
     _require_identity(s.mask)
     _require_generating(s.group, s.mask)
 
@@ -533,58 +486,6 @@ def _overlapping_pair(masks: list[int], k: int) -> Optional[tuple[int, int]]:
             if (a & b).bit_count() > k - 1:
                 return a, b
     return None
-
-
-def check_intersection_property(s: GroupSubset, k: int) -> IntersectionVerdict:
-    """Verify that distinct k-atoms meet in at most k-1 points.
-
-    Applicable only when the group has room for two disjoint atoms plus a
-    boundary (|G| >= 2*alpha + kappa); otherwise the verdict is vacuous.
-    """
-    report = find_atoms(s, k)
-    group = s.group
-    all_atoms = atom_translates(report, group)
-    applicable = group.order >= 2 * report.alpha + report.kappa
-    holds: Optional[bool] = None
-    counterexample = None
-    if applicable:
-        pair = _overlapping_pair(all_atoms, k)
-        holds = pair is None
-        if pair is not None:
-            counterexample = (GroupSubset(group, pair[0]), GroupSubset(group, pair[1]))
-    return IntersectionVerdict(
-        k=k,
-        applicable=applicable,
-        holds=holds,
-        kappa=report.kappa,
-        alpha=report.alpha,
-        atom_count=len(all_atoms),
-        counterexample=counterexample,
-    )
-
-
-def fragment_diagram(f1: GroupSubset, f2: GroupSubset, s: GroupSubset) -> FragmentDiagram:
-    """All nine cell counts of the partition pair induced by F1 and F2."""
-    group = _check_pair(f1, f2)
-    _check_pair(f1, s)
-    _require_identity(s.mask)
-    full = (1 << group.order) - 1
-    d1 = product_mask(group, f1.mask, s.mask) & ~f1.mask
-    d2 = product_mask(group, f2.mask, s.mask) & ~f2.mask
-    r1 = full & ~(f1.mask | d1)
-    r2 = full & ~(f2.mask | d2)
-    return FragmentDiagram(
-        beta_12=(f1.mask & d2).bit_count(),
-        beta_21=(f2.mask & d1).bit_count(),
-        beta_p12=(d1 & r2).bit_count(),
-        beta_p21=(d2 & r1).bit_count(),
-        gamma=(d1 & d2).bit_count(),
-        f1_f2=(f1.mask & f2.mask).bit_count(),
-        f1_f2star=(f1.mask & r2).bit_count(),
-        f1star_f2=(r1 & f2.mask).bit_count(),
-        f1star_f2star=(r1 & r2).bit_count(),
-        group_order=group.order,
-    )
 
 
 def normalize(s: GroupSubset) -> tuple[GroupSubset, NormalizeReport]:

@@ -42,7 +42,7 @@ from .digraphs import (
     verify_translation_transitivity,
 )
 from .errors import PreconditionError
-from .family import build_example, classify_example, sophie_germain_scan, verify_example
+from .family import build_example, sophie_germain_scan
 from .groups import (
     IDENTITY,
     FiniteGroup,
@@ -221,6 +221,10 @@ def sweep_oracle_random(
     """Seeded random (G, S, k) instances, both engines compared exactly."""
     rng = random.Random(seed)
     specs = [s for s in catalog_specs(max_order) if s.order >= 4]
+    if not specs:
+        raise PreconditionError(
+            f"random samples need a group of order at least 4; max order {max_order} has none"
+        )
     groups = {s.name: build_group(s) for s in specs}
     rows = []
     mismatches: list[str] = []
@@ -503,55 +507,6 @@ def sweep_graph_lemmas(max_order: int = 16) -> SweepResult:
 
 # ---------------------------------------------------------------------------
 # Family sweeps
-
-
-@dataclass(frozen=True)
-class FamilyRow:
-    p: int
-    q: int
-    order: int
-    set_size: int
-    checks_passed: int
-    checks_total: int
-    case: str
-    failures: tuple[str, ...]
-
-
-def sweep_family(limit: int = 25) -> SweepResult:
-    """Build, verify and classify every family member within the limit."""
-    rows = []
-    failures: list[str] = []
-    for scan_row in sophie_germain_scan(limit):
-        inst = build_example(scan_row.p, scan_row.q)
-        transcript = verify_example(inst)
-        passed = sum(1 for e in transcript if e.passed)
-        row_failures = [
-            f"SD({inst.p},{inst.q}) check {e.name}: {e.lhs} {e.relation} {e.rhs}"
-            for e in transcript
-            if not e.passed
-        ]
-        try:
-            result = classify_example(inst)
-            case = result.case.value
-            if not result.verified:
-                row_failures.append(f"SD({inst.p},{inst.q}): witness not verified")
-        except PreconditionError as exc:
-            case = "ERROR"
-            row_failures.append(str(exc))
-        rows.append(
-            FamilyRow(
-                p=inst.p,
-                q=inst.q,
-                order=inst.group.order,
-                set_size=len(inst.subset),
-                checks_passed=passed,
-                checks_total=len(transcript),
-                case=case,
-                failures=tuple(row_failures),
-            )
-        )
-        failures.extend(row_failures)
-    return SweepResult("family", tuple(rows), tuple(failures))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from sumatoms import (
 )
 from sumatoms.reports import render_kv, sweep_pairs
 from sumatoms.sweeps import (
-    sweep_family,
     sweep_graph_lemmas,
     sweep_intersection,
     sweep_main_theorem,
@@ -138,7 +137,6 @@ def test_criterion_7_two_coset_linkage():
 
 def test_criterion_8_determinism_across_workers():
     runs = {
-        "family": lambda w: sweep_family(25),
         "two-coset": lambda w: sweep_two_coset(25),
         "graph-lemmas": lambda w: sweep_graph_lemmas(16),
         "main-theorem": lambda w: sweep_main_theorem(SMALL_ORDER, workers=w),

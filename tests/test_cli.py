@@ -237,3 +237,36 @@ def test_suite_help_exits_0(suite):
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", suite, "--help")
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize(
+    "argv", ["verify mann --max-order 4 --seed 1", 'classify --cyclic 7 --set "0 1 2" --k 2']
+)
+def test_unrecognized_arguments_show_the_command_usage(argv, capsys):
+    code, out = run_cli(*shlex.split(argv))
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    command = argv.split(" --")[0]
+    assert err.startswith(f"usage: sumatoms {command} [-h]")
+    assert "error: unrecognized arguments" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        'atoms --cyclic 7 --set "0 1 2" --k 0',
+        'quotient --semidirect 7 3 --subgroup "0 1 2" --element 3 --k 0',
+        'quotient --semidirect 7 3 --subgroup "0 1 2" --element 3 --k -2',
+    ],
+)
+def test_nonpositive_k_is_an_unmet_precondition(argv, capsys):
+    code, out = run_cli(*shlex.split(argv))
+    assert code == 3 and out == ""
+    assert "error: k must be positive" in capsys.readouterr().err
+
+
+def test_oracle_suite_below_order_4_is_an_unmet_precondition(capsys):
+    # The sampled half draws from groups of order at least 4.
+    code, out = run_cli("verify", "oracle", "--max-order", "3")
+    assert code == 3 and out == ""
+    assert "max order 3" in capsys.readouterr().err

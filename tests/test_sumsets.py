@@ -11,10 +11,8 @@ from sumatoms import (
     PreconditionError,
     boundary,
     build_example,
-    check_intersection_property,
     find_atoms,
     find_fragments,
-    fragment_diagram,
     generated_subgroup,
     is_k_separable,
     isoperimetric_number,
@@ -30,7 +28,13 @@ from sumatoms import (
 from sumatoms.bitset import indices_tuple
 from sumatoms.catalog import build_group, catalog_specs
 from sumatoms.groups import closure_mask
-from sumatoms.sumsets import _separability_witness, boundary_witness, product_mask
+from sumatoms.sumsets import (
+    _overlapping_pair,
+    _separability_witness,
+    atom_translates,
+    boundary_witness,
+    product_mask,
+)
 
 
 def subset(group, *indices):
@@ -104,6 +108,13 @@ def test_separability():
     assert is_k_separable(subset(g6, 0, 1), 2)
     g7 = make_cyclic(7)
     assert not is_k_separable(subset(g7, 0, 1, 3), 3)
+
+
+def test_nonpositive_k_is_a_precondition():
+    s = subset(make_cyclic(7), 0, 1, 2)
+    for call in (is_k_separable, find_atoms, find_fragments, oracle_atoms):
+        with pytest.raises(PreconditionError, match="k must be positive"):
+            call(s, 0)
 
 
 def test_separability_matches_brute_force():
@@ -306,14 +317,20 @@ def test_kappa_monotone_in_k():
         assert 1 <= k1 <= k2
 
 
+def atoms_overlap(s, k):
+    """The first two k-atoms meeting in k or more points, as the intersection
+    sweep finds them; the property needs room for two atoms, |G| >= 2*alpha + kappa."""
+    report = find_atoms(s, k)
+    assert s.group.order >= 2 * report.alpha + report.kappa
+    return _overlapping_pair(atom_translates(report, s.group), k)
+
+
 def test_intersection_property_examples():
     g7 = make_cyclic(7)
-    verdict = check_intersection_property(subset(g7, 0, 1, 2), 2)
-    assert verdict.applicable and verdict.holds
+    assert atoms_overlap(subset(g7, 0, 1, 2), 2) is None
     inst = build_example(7, 3)
     s, _ = normalize(inst.subset)
-    verdict2 = check_intersection_property(s, 2)
-    assert verdict2.applicable and verdict2.holds
+    assert atoms_overlap(s, 2) is None
     # conjugate of H by a meets H only at 1
     group = inst.group
     a = inst.a
@@ -323,9 +340,7 @@ def test_intersection_property_examples():
 
 def test_intersection_property_level_1_disjoint():
     g7 = make_cyclic(7)
-    verdict = check_intersection_property(subset(g7, 0, 1, 3), 1)
-    if verdict.applicable:
-        assert verdict.holds  # distinct level-1 atoms are disjoint
+    assert atoms_overlap(subset(g7, 0, 1, 3), 1) is None  # distinct level-1 atoms are disjoint
 
 
 def test_maximal_left_period():
@@ -336,39 +351,6 @@ def test_maximal_left_period():
     assert maximal_left_period(inst.pair).mask == inst.subgroup.mask
     with pytest.raises(PreconditionError):
         maximal_left_period(GroupSubset.empty(g6))
-
-
-def test_fragment_diagram():
-    g7 = make_cyclic(7)
-    s = subset(g7, 0, 1, 2)
-    f = subset(g7, 0, 1)
-    diag = fragment_diagram(f, f, s)
-    assert diag.beta_12 == diag.beta_21 == 0
-    assert diag.gamma == len(boundary(s, f))
-    assert diag.cell_total == 7
-    f2 = remainder(s, f)
-    diag2 = fragment_diagram(f, f2, s)
-    assert diag2.f1_f2 == 0
-    assert diag2.cell_total == 7
-    g = f.left_translate(3)
-    diag3 = fragment_diagram(f, g, s)
-    assert diag3.cell_total == 7
-
-
-def test_fragment_diagram_row_sums():
-    rng = random.Random(41)
-    g = make_dihedral(5)
-    s = random_generating_set(rng, g)
-    for _ in range(10):
-        f1 = GroupSubset.from_indices(g, rng.sample(range(10), rng.randint(1, 8)))
-        f2 = GroupSubset.from_indices(g, rng.sample(range(10), rng.randint(1, 8)))
-        d = fragment_diagram(f1, f2, s)
-        assert d.f1_f2 + d.beta_12 + d.f1_f2star == len(f1)
-        assert d.beta_21 + d.gamma + d.beta_p12 == len(boundary(s, f1))
-        assert d.f1star_f2 + d.beta_p21 + d.f1star_f2star == len(remainder(s, f1))
-        assert d.f1_f2 + d.beta_21 + d.f1star_f2 == len(f2)
-        assert d.f1_f2star + d.beta_p12 + d.f1star_f2star == len(remainder(s, f2))
-        assert d.cell_total == 10
 
 
 def test_normalize():
