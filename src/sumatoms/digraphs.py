@@ -10,9 +10,9 @@ is exact on arc-transitive graphs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Optional
 
 from .bitset import bit_indices, indices_tuple, mask_from_indices, permute_mask
@@ -302,73 +302,57 @@ class ArcCutReport:
     method: str
 
 
-def _max_flow_unit(cap: list[list[int]], s: int, t: int) -> tuple[int, int]:
-    """Augmenting-path max flow; returns (value, residual-reachable mask).
+def _max_flow(out_masks: tuple[int, ...], sources: int, sinks: int) -> tuple[int, int]:
+    """Unit-capacity max flow from the vertex set ``sources`` to ``sinks``.
 
-    ``cap`` is only read, so callers may pass one matrix to many runs.
+    Returns (value, reach), reach being the vertices reachable from the
+    sources in the final residual graph: the least minimum cut, the same for
+    every maximum flow.
     """
-    n = len(cap)
-    flow = [[0] * n for _ in range(n)]
-    total = 0
+    n = len(out_masks)
+    used = [0] * n  # used[u]: the v with a unit on u -> v
+    back = [0] * n  # back[v]: the u with a unit on u -> v
+    value = 0
     while True:
         parent = [-1] * n
-        parent[s] = s
-        queue: deque[int] = deque([s])
-        while queue:
-            u = queue.popleft()
-            if u == t:
-                break
-            row_c, row_f = cap[u], flow[u]
-            for v in range(n):
-                if parent[v] < 0 and row_c[v] - row_f[v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[t] < 0:
-            break
-        bottleneck = None
-        v = t
-        while v != s:
+        seen = frontier = sources
+        hit = 0
+        while frontier and not hit:
+            reached = 0
+            for u in bit_indices(frontier):
+                new = ((out_masks[u] & ~used[u]) | back[u]) & ~seen
+                if new:
+                    seen |= new
+                    reached |= new
+                    for v in bit_indices(new):
+                        parent[v] = u
+                    hit = new & sinks
+                    if hit:
+                        break
+            frontier = reached
+        if not hit:
+            return value, seen
+        v = (hit & -hit).bit_length() - 1
+        while not sources >> v & 1:
             u = parent[v]
-            r = cap[u][v] - flow[u][v]
-            bottleneck = r if bottleneck is None else min(bottleneck, r)
+            if back[u] >> v & 1:  # cancel the unit on v -> u
+                back[u] ^= 1 << v
+                used[v] ^= 1 << u
+            else:
+                used[u] |= 1 << v
+                back[v] |= 1 << u
             v = u
-        v = t
-        while v != s:
-            u = parent[v]
-            flow[u][v] += bottleneck
-            flow[v][u] -= bottleneck
-            v = u
-        total += bottleneck
-    seen = 1 << s
-    queue = [s]
-    while queue:
-        u = queue.pop()
-        for v in range(n):
-            if not seen >> v & 1 and cap[u][v] - flow[u][v] > 0:
-                seen |= 1 << v
-                queue.append(v)
-    return total, seen
-
-
-def _unit_capacity_matrix(graph: DirectedGraph) -> list[list[int]]:
-    n = graph.vertex_count
-    cap = [[0] * n for _ in range(n)]
-    for u, v in graph.arcs():
-        cap[u][v] = 1
-    return cap
+        value += 1
 
 
 def _flow_lambda1(graph: DirectedGraph) -> tuple[int, list[int]]:
     """Global minimum arc cut by flows pinned at vertex 0, plus cut sides found."""
     n = graph.vertex_count
-    cap = _unit_capacity_matrix(graph)
     best = None
     sides: list[int] = []
-    full = (1 << n) - 1
     for t in range(1, n):
         for s, sink in ((0, t), (t, 0)):
-            value, reach = _max_flow_unit(cap, s, sink)
-            side = reach & full
+            value, side = _max_flow(graph.out_masks, 1 << s, 1 << sink)
             if best is None or value < best:
                 best = value
                 sides = [side]
@@ -381,8 +365,8 @@ def arc_connectivity_flow(graph: DirectedGraph, k: int) -> int:
     """Exact k-arc-connectivity via flows with pinned k-element terminals.
 
     Every admissible cut C contains some k of its vertices and misses some k
-    others, so contracting each (source k-set, sink k-set) pair and taking
-    the minimum flow value is exact.  Cost grows as C(n,k)^2; guarded by
+    others, so taking the minimum flow value from each source k-set to each
+    disjoint sink k-set is exact.  Cost grows as C(n,k)^2; guarded by
     ``FLOW_WORK_CAP``.
     """
     n = graph.vertex_count
@@ -390,32 +374,17 @@ def arc_connectivity_flow(graph: DirectedGraph, k: int) -> int:
     if k == 1:
         value, _ = _flow_lambda1(graph)
         return value
-    from math import comb
-
     pairs = comb(n, k) * comb(n - k, k)
     if pairs > FLOW_WORK_CAP:
         raise GraphTooLargeError(
             f"pinned-terminal flow needs {pairs} flow runs, cap {FLOW_WORK_CAP}"
         )
-    base = _unit_capacity_matrix(graph)
-    big = graph.arc_count + 1
-    best: Optional[int] = None
     verts = range(n)
-    for sources in combinations(verts, k):
-        rest = [v for v in verts if v not in sources]
-        for sinks in combinations(rest, k):
-            m = n + 2
-            cap = [row[:] + [0, 0] for row in base]
-            cap.append([0] * m)  # super source
-            cap.append([0] * m)  # super sink
-            for v in sources:
-                cap[n][v] = big
-            for v in sinks:
-                cap[v][n + 1] = big
-            value, _ = _max_flow_unit(cap, n, n + 1)
-            if best is None or value < best:
-                best = value
-    return best
+    return min(
+        _max_flow(graph.out_masks, mask_from_indices(sources), mask_from_indices(sinks))[0]
+        for sources in combinations(verts, k)
+        for sinks in combinations([v for v in verts if v not in sources], k)
+    )
 
 
 def _least_cuts(

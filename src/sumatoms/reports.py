@@ -10,14 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .classify import (
-    CaseIIIWitness,
-    CaseIIWitness,
-    CaseIWitness,
-    ClassificationResult,
-    CorollaryVerdict,
-    TranscriptEntry,
-)
+from .classify import ClassificationResult, CorollaryVerdict, TranscriptEntry
 from .digraphs import ArcCutReport
 from .groups import FiniteGroup, GroupSubset
 from .sumsets import FragmentReport
@@ -89,27 +82,10 @@ def transcript_pairs(prefix: str, entries: Iterable[TranscriptEntry]) -> KV:
 
 
 def witness_pairs(result: ClassificationResult) -> KV:
-    w = result.witness
-    if w is None:
+    # Witness fields are declared in the order the report prints them.
+    if result.witness is None:
         return []
-    if isinstance(w, CaseIWitness):
-        return [
-            ("witness.side", w.side),
-            ("witness.g", w.g),
-            ("witness.a", w.a),
-        ]
-    if isinstance(w, CaseIIWitness):
-        return [
-            ("witness.subgroup", w.subgroup),
-            ("witness.epsilon", w.epsilon),
-        ]
-    if isinstance(w, CaseIIIWitness):
-        return [
-            ("witness.subgroup", w.subgroup),
-            ("witness.a", w.a),
-            ("witness.epsilon", w.epsilon),
-        ]
-    return []
+    return [(f"witness.{name}", value) for name, value in _dataclass_items(result.witness)]
 
 
 def classification_pairs(result: ClassificationResult) -> KV:

@@ -73,6 +73,15 @@ def _map_specs(fn: Callable[[GroupSpec], T], specs: Sequence[GroupSpec], workers
         return list(pool.map(fn, specs))
 
 
+def _catalog(max_order: int) -> list[GroupSpec]:
+    specs = catalog_specs(max_order)
+    if not specs:
+        raise PreconditionError(
+            f"max order {max_order} holds no catalog group; the smallest has order 2"
+        )
+    return specs
+
+
 def _canonical_class_mask(group: FiniteGroup, smask: int) -> int:
     # Least right translate S*s^-1 (s in S) as an integer; each contains 1.
     return min(permute_mask(smask, group.column(group.inverse[s])) for s in bit_indices(smask))
@@ -171,7 +180,7 @@ def sweep_main_theorem(max_order: int, *, workers: int = 1) -> SweepResult:
 
     A VIOLATION outcome or a witness that fails re-verification is a failure.
     """
-    specs = catalog_specs(max_order)
+    specs = _catalog(max_order)
     rows = _map_specs(_main_theorem_group, specs, workers)
     failures = []
     for row in rows:
@@ -209,7 +218,7 @@ def _oracle_group(spec: GroupSpec) -> OracleRow:
 
 def sweep_oracle_catalog(max_order: int = 12, *, workers: int = 1) -> SweepResult:
     """Search engine vs. exhaustive oracle on every 2-separable catalog instance."""
-    specs = catalog_specs(max_order)
+    specs = _catalog(max_order)
     rows = _map_specs(_oracle_group, specs, workers)
     failures = [m for row in rows for m in row.mismatches]
     return SweepResult("oracle-catalog", tuple(rows), tuple(failures))
@@ -219,6 +228,8 @@ def sweep_oracle_random(
     samples: int = 200, seed: int = 0, max_order: int = 12
 ) -> SweepResult:
     """Seeded random (G, S, k) instances, both engines compared exactly."""
+    if samples < 1:
+        raise PreconditionError(f"samples must be positive, got {samples}")
     rng = random.Random(seed)
     specs = [s for s in catalog_specs(max_order) if s.order >= 4]
     if not specs:
@@ -307,7 +318,7 @@ def _mann_group(spec: GroupSpec) -> MannRow:
 def sweep_mann(max_order: int = 12, *, workers: int = 1) -> SweepResult:
     """Covering-hypothesis decision vs. exhaustive T-enumeration, plus the
     guaranteed subgroup witness, over every subset of every catalog group."""
-    specs = catalog_specs(max_order)
+    specs = _catalog(max_order)
     rows = _map_specs(_mann_group, specs, workers)
     failures = []
     for row in rows:
@@ -383,7 +394,7 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
 def sweep_intersection(max_order: int = 12, *, workers: int = 1) -> SweepResult:
     """Atom intersection, atom-fragment containment, and the subgroup
     structure of level-1 atoms, over all qualifying catalog instances."""
-    specs = catalog_specs(max_order)
+    specs = _catalog(max_order)
     rows = _map_specs(_intersection_group, specs, workers)
     failures = [f for row in rows for f in row.failures]
     return SweepResult("intersection", tuple(rows), tuple(failures))
@@ -522,9 +533,12 @@ class TwoCosetRow:
 
 def sweep_two_coset(limit: int = 25) -> SweepResult:
     """Two-coset complement property on every family member within the limit."""
+    scan = sophie_germain_scan(limit)
+    if not scan:
+        raise PreconditionError(f"no family member has p at most {limit}; the first has p = 7")
     rows = []
     failures: list[str] = []
-    for scan_row in sophie_germain_scan(limit):
+    for scan_row in scan:
         inst = build_example(scan_row.p, scan_row.q)
         verdict = verify_two_coset_theorem(inst.group, inst.subset)
         row_failures = []

@@ -270,3 +270,19 @@ def test_oracle_suite_below_order_4_is_an_unmet_precondition(capsys):
     code, out = run_cli("verify", "oracle", "--max-order", "3")
     assert code == 3 and out == ""
     assert "max order 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("verify main-theorem --max-order 0", "max order 0"),
+        ("verify intersection --max-order 1", "max order 1"),
+        ("verify mann --max-order -5", "max order -5"),
+        ("verify two-coset --limit 0", "p at most 0"),
+        ("verify oracle --max-order 6 --samples -1", "samples must be positive"),
+    ],
+)
+def test_sweep_with_nothing_to_check_is_an_unmet_precondition(argv, message, capsys):
+    code, out = run_cli(*shlex.split(argv))
+    assert code == 3 and out == ""
+    assert message in capsys.readouterr().err

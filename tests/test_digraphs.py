@@ -401,6 +401,53 @@ def test_flow_sides_are_minimum_cuts():
     assert graphs[-1].vertex_count == 23
 
 
+def _least_min_cut(out, sources, sinks):
+    # Brute force: the fewest arcs leaving a C with sources inside and sinks
+    # outside, and the intersection of every C attaining it.
+    n = len(out)
+    best, least = None, 0
+    for c in range(1 << n):
+        if c & sources != sources or c & sinks:
+            continue
+        e = digraphs._outgoing(out, c)
+        if best is None or e < best:
+            best, least = e, c
+        elif e == best:
+            least &= c
+    return best, least
+
+
+def test_max_flow_reach_is_the_least_minimum_cut():
+    # From 0 to 3 the first augmenting path is 0-1-2-3 and the second,
+    # 0-4-2-1-5-3, must cancel its unit on 1 -> 2; a kernel that kept that
+    # unit would find a third path 0-6-2-1-7-3.
+    cancelling = [
+        (0, 1), (0, 4), (0, 6), (1, 2), (4, 2), (6, 2), (2, 3), (1, 5), (5, 3), (1, 7), (7, 3),
+    ]
+    out = graph_from_arcs(8, cancelling).out_masks
+    assert digraphs._max_flow(out, 1, 1 << 3) == (2, 0b1010101)  # reach {0, 2, 4, 6}
+    # Random digraphs with antiparallel arcs; neither strong connectivity
+    # nor any symmetry is assumed.
+    rng = random.Random(20261019)
+    graphs = [(8, cancelling)]
+    for _ in range(80):
+        n = rng.randint(3, 9)
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.35]
+        graphs.append((n, arcs))
+    cases = 0
+    for n, arcs in graphs:
+        out = graph_from_arcs(n, arcs).out_masks
+        terminals = [(1 << s, 1 << t) for s in range(n) for t in range(n) if s != t]
+        if n >= 4:
+            for _ in range(10):
+                a, b, c, d = rng.sample(range(n), 4)
+                terminals.append((1 << a | 1 << b, 1 << c | 1 << d))
+        for sources, sinks in terminals:
+            assert digraphs._max_flow(out, sources, sinks) == _least_min_cut(out, sources, sinks)
+        cases += len(terminals)
+    assert cases > 3000
+
+
 def test_transitive_sweep_matches_exhaustive():
     # exact_cap=2 forces the size-bounded sweep on every arc-transitive graph
     graphs = [directed_cycle(n) for n in range(3, 13)]
