@@ -12,8 +12,11 @@ a pruned search (:func:`find_atoms`) and a plain exhaustive oracle
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .bitset import bit_indices, indices_tuple, mask_from_indices, permute_mask
 from .errors import (
@@ -301,7 +304,8 @@ class _Tally:
     """Least boundary per size over the admissible sets, with its achievers.
 
     ``achievers`` keeps at most ``atom_cap`` masks per size, in the order
-    they were found; ``counts`` counts all of them.
+    they were found; ``counts`` counts all of them.  Both are exact at the
+    fragment sizes, the only sizes a report reads.
     """
 
     kappa: int
@@ -398,35 +402,135 @@ def _atoms_and_fragment_masks(s: GroupSubset, k: int) -> tuple[FragmentReport, l
     return report, tally.fragment_masks()
 
 
-def _every_admissible_set(
-    group: FiniteGroup, smask: int, k: int
-) -> Iterator[tuple[int, int, int]]:
-    """Like :func:`_admissible_sets`, by visiting every subset containing 1.
+# ---------------------------------------------------------------------------
+# Exhaustive oracle
+#
+# The oracle visits all 2^(n-1) subsets X containing 1, with no pruning and no
+# adjacency restriction.  The top elements of the group form a block whose
+# patterns are scanned together as uint64 masks, so each pattern of the
+# elements below the block costs a few numpy calls instead of a Python frame
+# per subset.  uint64 masks hold at most 64 elements.
 
-    Subsets come in lexicographic order of their sorted index tuples, with no
-    pruning and no adjacency restriction.
+# 2^13 uint64 masks are 64 KB, below glibc's default 128 KB mmap threshold.
+_BLOCK_BITS = 13
+ORACLE_ORDER_LIMIT = 64
+
+
+@lru_cache(maxsize=_BLOCK_BITS + 1)
+def _block_patterns(bits: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The 2^bits block patterns by size, and where each size starts and ends.
+
+    Bit j of a pattern is the j-th lowest block element.  Patterns of one size
+    come in indices_tuple order: first the one holding the lowest element in
+    which two differ.  ``bounds[t]:bounds[t + 1]`` are the patterns of size t.
+    """
+    patterns = np.arange(1 << bits, dtype=np.uint16)
+    mirrored = np.zeros_like(patterns)
+    for j in range(bits):
+        mirrored |= (patterns >> j & 1) << (bits - 1 - j)
+    sizes = np.bitwise_count(patterns)
+    order = np.lexsort((~mirrored, sizes))
+    order.flags.writeable = False
+    bounds = tuple(np.searchsorted(sizes[order], np.arange(bits + 2)).tolist())
+    return order, bounds
+
+
+def _block_layout(n: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
+    """The lowest block element of an order-n group, and the block's patterns."""
+    bits = min(_BLOCK_BITS, n - 1)
+    return (n - bits, *_block_patterns(bits))
+
+
+def _exhaustive_blocks(
+    group: FiniteGroup, smask: int
+) -> Iterator[tuple[int, list[int], np.ndarray]]:
+    """Every subset X containing 1, one block at a time.
+
+    Yields (low, least, usize).  ``low`` is the part of X below the block,
+    1 included.  ``usize[i]`` is |XS| when X is ``low`` plus the i-th pattern
+    of :func:`_block_layout`, and ``least[t]`` is the least of them over the
+    patterns of t elements.  ``usize`` is overwritten by the next block.
+    Within each size |X| the subsets come in indices_tuple order.
     """
     n = group.order
-    limit = n - k
     xs = TranslateTables(group, smask).xs_masks()
-    seed = 1 << IDENTITY
-    seed_u = xs[IDENTITY]
-    if k <= 1 and seed_u.bit_count() <= limit:
-        yield seed, 1, seed_u.bit_count() - 1
-    # Frame (X, XS, |X|, c): add element c to X, then try c + 1 onwards.
-    stack = [(seed, seed_u, 1, 1)] if n > 1 else []
-    while stack:
-        x, u, size, c = stack.pop()
-        if c + 1 < n:
-            stack.append((x, u, size, c + 1))
-        x |= 1 << c
-        u |= xs[c]
-        size += 1
-        usize = u.bit_count()
-        if size >= k and usize <= limit:
-            yield x, size, usize - size
-        if c + 1 < n:
-            stack.append((x, u, size, c + 1))
+    first, order, bounds = _block_layout(n)
+    block = np.zeros(len(order), dtype=np.uint64)
+    h = 1
+    for c in range(first, n):
+        np.bitwise_or(block[:h], np.uint64(xs[c]), out=block[h : 2 * h])
+        h *= 2
+    block = block[order]
+    u = np.empty_like(block)
+    usize = np.empty(len(block), dtype=np.uint8)
+    below = first - 1
+    for q in range((1 << below) - 1, -1, -1):
+        # Bit below-1-j of q holds element 1+j, so descending q takes the
+        # parts below the block in indices_tuple order.
+        low, ulow = 1 << IDENTITY, xs[IDENTITY]
+        for j in range(below):
+            if q >> (below - 1 - j) & 1:
+                low |= 1 << (1 + j)
+                ulow |= xs[1 + j]
+        np.bitwise_or(block, np.uint64(ulow), out=u)
+        np.bitwise_count(u, out=usize)
+        yield low, np.minimum.reduceat(usize, bounds[:-1]).tolist(), usize
+
+
+def _exhaustive_tally(group: FiniteGroup, smask: int, k: int, atom_cap: int) -> _Tally:
+    """The :func:`_tally` of the admissible sets, found among every subset containing 1.
+
+    Counts and achievers are kept only while a size's least boundary is the
+    least of all sizes so far, which the fragment sizes' always is.
+    """
+    limit = group.order - k
+    first, order, bounds = _block_layout(group.order)
+    best_by_size: dict[int, int] = {}
+    achievers: dict[int, list[int]] = {}
+    counts: dict[int, int] = {}
+    kappa = limit  # above every admissible boundary
+    for low, least, usize in _exhaustive_blocks(group, smask):
+        base = low.bit_count()
+        for t, u in enumerate(least):
+            size = base + t
+            if size < k or u > limit:
+                continue
+            b = u - size
+            cur = best_by_size.get(size)
+            if cur is None or b < cur:
+                best_by_size[size] = b
+                achievers[size] = []
+                counts[size] = 0
+            elif b > cur:
+                continue
+            if b > kappa:
+                continue
+            kappa = b
+            lo = bounds[t]
+            hits = np.flatnonzero(usize[lo : bounds[t + 1]] == u)
+            counts[size] += len(hits)
+            bucket = achievers[size]
+            # Like _tally, keep a size's first achiever whatever the cap.
+            room = max(atom_cap, 1) - len(bucket)
+            bucket.extend(low | int(p) << first for p in order[lo + hits[:room]])
+    if not best_by_size:
+        raise NotSeparableError(f"set is not {k}-separable")
+    return _Tally(kappa, best_by_size, achievers, counts)
+
+
+def _exhaustive_boundary_within(group: FiniteGroup, smask: int, k: int, target: int) -> bool:
+    """Whether an admissible X containing 1 has boundary at most ``target``.
+
+    Decided over every subset containing 1, independently of
+    :func:`boundary_witness`.
+    """
+    limit = group.order - k
+    for low, least, _ in _exhaustive_blocks(group, smask):
+        base = low.bit_count()
+        for t, u in enumerate(least):
+            if base + t >= k and u <= limit and u - (base + t) <= target:
+                return True
+    return False
 
 
 def oracle_atoms(
@@ -440,14 +544,20 @@ def oracle_atoms(
 
     Every subset containing the identity is visited; the only normalization
     is pinning 1 into X.  Intended as an independent cross-check engine.
+    Groups above ``ORACLE_ORDER_LIMIT`` elements are refused at any cap.
     """
     _checked_input(s, k)
     group = s.group
+    if group.order > ORACLE_ORDER_LIMIT:
+        raise OracleCapError(
+            f"group order {group.order} exceeds the oracle's limit of "
+            f"{ORACLE_ORDER_LIMIT} elements"
+        )
     if group.order > order_cap:
         raise OracleCapError(
             f"group order {group.order} exceeds oracle cap {order_cap}"
         )
-    tally = _tally(_every_admissible_set(group, s.mask, k), k, atom_cap)
+    tally = _exhaustive_tally(group, s.mask, k, atom_cap)
     return _fragment_report(group, k, tally, atom_cap, oracle_used=True)
 
 

@@ -53,7 +53,7 @@ from .groups import (
 )
 from .sumsets import (
     _atoms_and_fragment_masks,
-    _every_admissible_set,
+    _exhaustive_boundary_within,
     _left_translates,
     _overlapping_pair,
     _separability_witness,
@@ -279,10 +279,9 @@ class MannRow:
 
 def _t_enumeration(group: FiniteGroup, smask: int) -> bool:
     # Exists nonempty T with |T S| <= |T| + |S| - 2 and TS != G; T may be
-    # translated to contain the identity.  The oracle's plain walk visits
-    # every such T with TS != G and yields |TS| - |T|.
-    slack = smask.bit_count() - 2
-    return any(b <= slack for _, _, b in _every_admissible_set(group, smask, 1))
+    # translated to contain the identity.  The oracle's scan visits every
+    # such T with TS != G, whose boundary is |TS| - |T|.
+    return _exhaustive_boundary_within(group, smask, 1, smask.bit_count() - 2)
 
 
 def _mann_group(spec: GroupSpec) -> MannRow:

@@ -286,3 +286,11 @@ def test_sweep_with_nothing_to_check_is_an_unmet_precondition(argv, message, cap
     code, out = run_cli(*shlex.split(argv))
     assert code == 3 and out == ""
     assert message in capsys.readouterr().err
+
+
+def test_oracle_refuses_groups_above_64_elements(capsys):
+    # The oracle's masks are 64-bit; at order 65 it would walk 2^64 subsets.
+    argv = 'atoms --cyclic 65 --set "0 1" --k 1 --oracle --oracle-cap 100'
+    code, out = run_cli(*shlex.split(argv))
+    assert code == 1 and out == ""
+    assert "limit of 64 elements" in capsys.readouterr().err

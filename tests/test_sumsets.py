@@ -27,14 +27,18 @@ from sumatoms import (
 )
 from sumatoms.bitset import indices_tuple
 from sumatoms.catalog import build_group, catalog_specs
-from sumatoms.groups import closure_mask
+from sumatoms.groups import IDENTITY, closure_mask
 from sumatoms.sumsets import (
+    TranslateTables,
+    _fragment_report,
     _overlapping_pair,
     _separability_witness,
+    _tally,
     atom_translates,
     boundary_witness,
     product_mask,
 )
+from sumatoms.sweeps import _t_enumeration
 
 
 def subset(group, *indices):
@@ -511,3 +515,97 @@ def test_fragment_count_matches_oracle():
             slow = oracle_atoms(s, k)
             assert fast.fragment_count == slow.fragment_count
             assert fast.fragment_count == len(find_fragments(s, k))
+
+
+# ---------------------------------------------------------------------------
+# The block-wise oracle against the per-subset walk it replaced
+
+
+def every_admissible_set(group, smask, k):
+    """(X, |X|, boundary) for every admissible X containing 1, one stack frame
+    per subset, in lexicographic order of the sorted index tuples."""
+    n = group.order
+    limit = n - k
+    xs = TranslateTables(group, smask).xs_masks()
+    seed = 1 << IDENTITY
+    seed_u = xs[IDENTITY]
+    if k <= 1 and seed_u.bit_count() <= limit:
+        yield seed, 1, seed_u.bit_count() - 1
+    # Frame (X, XS, |X|, c): add element c to X, then try c + 1 onwards.
+    stack = [(seed, seed_u, 1, 1)] if n > 1 else []
+    while stack:
+        x, u, size, c = stack.pop()
+        if c + 1 < n:
+            stack.append((x, u, size, c + 1))
+        x |= 1 << c
+        u |= xs[c]
+        size += 1
+        usize = u.bit_count()
+        if size >= k and usize <= limit:
+            yield x, size, usize - size
+        if c + 1 < n:
+            stack.append((x, u, size, c + 1))
+
+
+def assert_oracle_matches_walk(s, k, atom_cap):
+    """oracle_atoms equals the walk's tally, or both find s not k-separable."""
+    group = s.group
+    try:
+        tally = _tally(every_admissible_set(group, s.mask, k), k, atom_cap)
+    except NotSeparableError:
+        with pytest.raises(NotSeparableError):
+            oracle_atoms(s, k, order_cap=group.order, atom_cap=atom_cap)
+        return None
+    expected = _fragment_report(group, k, tally, atom_cap, oracle_used=True)
+    assert oracle_atoms(s, k, order_cap=group.order, atom_cap=atom_cap) == expected
+    return expected
+
+
+def generating_sets_with_identity(group):
+    full = (1 << group.order) - 1
+    for smask in range(1, 1 << group.order, 2):
+        if closure_mask(group, indices_tuple(smask)) == full:
+            yield GroupSubset(group, smask)
+
+
+def test_oracle_matches_walk_on_every_small_generating_set():
+    groups = [make_cyclic(n) for n in (1, 2, 3)]
+    groups += [build_group(spec) for spec in catalog_specs(8) if spec.order > 3]
+    separable = truncated = 0
+    for group in groups:
+        for s in generating_sets_with_identity(group):
+            for k in (1, 2, 3):
+                for atom_cap in (1, 3, 256):
+                    report = assert_oracle_matches_walk(s, k, atom_cap)
+                    separable += report is not None
+                    truncated += report is not None and report.atoms_truncated
+    assert separable > 3000 and truncated > 400
+
+
+def test_oracle_matches_walk_across_blocks():
+    # One block holds 2^13 subsets, so only n >= 15 spans several.
+    rng = random.Random(1515)
+    specs = [spec for spec in catalog_specs(17) if spec.order >= 15]
+    checked = truncated = 0
+    for i in range(8):
+        group = build_group(specs[i % len(specs)])
+        s = random_generating_set(rng, group, min_size=3)
+        for k, atom_cap in ((1 + i % 3, 256), (1 + i % 3, 1)):
+            report = assert_oracle_matches_walk(s, k, atom_cap)
+            checked += report is not None
+            truncated += report is not None and report.atoms_truncated
+    assert checked >= 12 and truncated >= 1
+
+
+def test_t_enumeration_matches_walk_on_every_subset():
+    nothing_admissible = 0
+    for spec in catalog_specs(8):
+        if spec.name not in ("C6", "D3", "C2xC4"):
+            continue
+        group = build_group(spec)
+        for smask in range(1, 1 << group.order):
+            walk = [b for _, _, b in every_admissible_set(group, smask, 1)]
+            nothing_admissible += not walk
+            slack = smask.bit_count() - 2
+            assert _t_enumeration(group, smask) == any(b <= slack for b in walk)
+    assert nothing_admissible > 0
