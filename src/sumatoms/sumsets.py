@@ -227,21 +227,33 @@ def _require_generating(group: FiniteGroup, smask: int) -> None:
 # disjoint product masks, and either some part beats X (contradicting
 # minimality) or all parts are singletons, in which case the pair {1, s} for
 # any s in S is admissible with a strictly smaller boundary.
+#
+# The walk is also a branch and bound.  Every set X' below a node X with
+# banned set B contains X and misses B, so X'S \ X' contains XS & B and
+# b(X') >= |XS & B|.  A child whose product meets B in more elements than
+# the least boundary still wanted leads only to worse sets, so it is banned
+# like a child whose product is too large.
 
 
 def _admissible_sets(
-    group: FiniteGroup, smask: int, k: int
+    group: FiniteGroup, smask: int, k: int, target: Optional[int] = None
 ) -> Iterator[tuple[int, int, int]]:
-    """Yield (X, |X|, boundary size) for every admissible X containing 1.
+    """Yield (X, |X|, boundary size) for admissible X containing 1.
 
     Admissible means |X| >= k and a remainder of at least k elements, i.e.
     |XS| <= n - k.  For k <= 2 only connected X are visited, which is
     complete there.  The walk is depth first on an explicit stack: the
     lowest candidate is tried first, and once its subtree is done it is
     banned from the subtrees of its later siblings, so each X appears once.
+
+    An X is yielded, in that order, exactly when its boundary is at most the
+    bound at the time: ``target`` (n when None) or the least boundary
+    yielded before it, whichever is smaller.  So every minimizer and the
+    first X with boundary <= ``target`` are yielded.
     """
     n = group.order
     limit = n - k
+    bound = n if target is None else target
     tables = TranslateTables(group, smask)
     xs = tables.xs_masks()
     nbr = tables.neighbor_masks() if k <= 2 else [(1 << n) - 1] * n
@@ -249,8 +261,9 @@ def _admissible_sets(
     seed_u = xs[IDENTITY]
     if seed_u.bit_count() > limit:
         return
-    if k <= 1:
-        yield seed, 1, seed_u.bit_count() - 1
+    if k <= 1 and seed_u.bit_count() - 1 <= bound:
+        bound = seed_u.bit_count() - 1
+        yield seed, 1, bound
     # The current node is (X, XS, frontier, untried candidates, banned
     # candidates); a parent with untried candidates waits on the stack.
     x, u, frontier, ban = seed, seed_u, nbr[IDENTITY], 0
@@ -265,11 +278,12 @@ def _admissible_sets(
             c = low.bit_length() - 1
             nu = u | xs[c]
             usize = nu.bit_count()
-            if usize <= limit:
+            if usize <= limit and (nu & ban).bit_count() <= bound:
                 nx = x | low
                 size = nx.bit_count()
-                if size >= k:
-                    yield nx, size, usize - size
+                if size >= k and usize - size <= bound:
+                    bound = usize - size
+                    yield nx, size, bound
                 grown = frontier | nbr[c]
                 child_cands = grown & ~(ban | nx)
                 if child_cands:
@@ -293,10 +307,7 @@ def boundary_witness(
     """
     if target < 0 or 2 * k > group.order:
         return None
-    for x, _, b in _admissible_sets(group, smask, k):
-        if b <= target:
-            return x
-    return None
+    return next((x for x, _, _ in _admissible_sets(group, smask, k, target)), None)
 
 
 @dataclass(frozen=True)
@@ -304,8 +315,10 @@ class _Tally:
     """Least boundary per size over the admissible sets, with its achievers.
 
     ``achievers`` keeps at most ``atom_cap`` masks per size, in the order
-    they were found; ``counts`` counts all of them.  Both are exact at the
-    fragment sizes, the only sizes a report reads.
+    they were found; ``counts`` counts all of them.  The engines skip sets
+    that cannot be fragments, so ``best_by_size``, ``achievers`` and
+    ``counts`` are exact at the fragment sizes, the only sizes a report
+    reads, and may be missing or too large at other sizes.
     """
 
     kappa: int
@@ -348,13 +361,13 @@ def _fragment_report(
 ) -> FragmentReport:
     sizes = tally.fragment_sizes()
     alpha = sizes[0]
-    atom_masks = sorted(tally.achievers[alpha], key=indices_tuple)
+    atom_masks = sorted(tally.achievers[alpha], key=indices_tuple)[:atom_cap]
     return FragmentReport(
         k=k,
         separable=True,
         kappa=tally.kappa,
         alpha=alpha,
-        atoms=tuple(GroupSubset(group, m) for m in atom_masks[:atom_cap]),
+        atoms=tuple(GroupSubset(group, m) for m in atom_masks),
         fragment_count=sum(tally.counts[size] for size in sizes),
         fragment_count_exact=oracle_used or group.order <= FRAGMENT_COUNT_EXACT_CAP,
         oracle_used=oracle_used,
@@ -369,6 +382,13 @@ def _checked_input(s: GroupSubset, k: int) -> None:
     _require_generating(s.group, s.mask)
 
 
+def _walk_report(s: GroupSubset, k: int, atom_cap: int) -> tuple[FragmentReport, _Tally]:
+    """The pruned search's report for (S, k), with the tally it was read from."""
+    _checked_input(s, k)
+    tally = _tally(_admissible_sets(s.group, s.mask, k), k, atom_cap)
+    return _fragment_report(s.group, k, tally, atom_cap, oracle_used=False), tally
+
+
 def find_atoms(
     s: GroupSubset, k: int, *, atom_cap: int = DEFAULT_ATOM_CAP
 ) -> FragmentReport:
@@ -377,9 +397,7 @@ def find_atoms(
     Atoms not containing the identity are left translates of the listed ones.
     Requires S to contain the identity, generate the group and be k-separable.
     """
-    _checked_input(s, k)
-    tally = _tally(_admissible_sets(s.group, s.mask, k), k, atom_cap)
-    return _fragment_report(s.group, k, tally, atom_cap, oracle_used=False)
+    return _walk_report(s, k, atom_cap)[0]
 
 
 def isoperimetric_number(s: GroupSubset, k: int) -> int:
@@ -389,16 +407,12 @@ def isoperimetric_number(s: GroupSubset, k: int) -> int:
 
 def find_fragments(s: GroupSubset, k: int) -> tuple[GroupSubset, ...]:
     """All k-fragments containing the identity, of every size, at most ``DEFAULT_ATOM_CAP`` per size."""
-    _checked_input(s, k)
-    tally = _tally(_admissible_sets(s.group, s.mask, k), k, DEFAULT_ATOM_CAP)
-    return tuple(GroupSubset(s.group, m) for m in tally.fragment_masks())
+    return tuple(GroupSubset(s.group, m) for m in _atoms_and_fragment_masks(s, k)[1])
 
 
 def _atoms_and_fragment_masks(s: GroupSubset, k: int) -> tuple[FragmentReport, list[int]]:
     """``find_atoms(s, k)`` and the masks of ``find_fragments(s, k)`` from one scan."""
-    _checked_input(s, k)
-    tally = _tally(_admissible_sets(s.group, s.mask, k), k, DEFAULT_ATOM_CAP)
-    report = _fragment_report(s.group, k, tally, DEFAULT_ATOM_CAP, oracle_used=False)
+    report, tally = _walk_report(s, k, DEFAULT_ATOM_CAP)
     return report, tally.fragment_masks()
 
 

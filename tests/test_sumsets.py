@@ -45,10 +45,10 @@ def subset(group, *indices):
     return GroupSubset.from_indices(group, indices)
 
 
-def random_generating_set(rng, group, min_size=2):
+def random_generating_set(rng, group, min_size=2, max_size=None):
     n = group.order
     while True:
-        size = rng.randint(min_size, n - 1)
+        size = rng.randint(min_size, max_size or n - 1)
         members = [0] + rng.sample(range(1, n), size - 1)
         s = GroupSubset.from_indices(group, members)
         if closure_mask(group, s.indices()) == (1 << n) - 1:
@@ -609,3 +609,108 @@ def test_t_enumeration_matches_walk_on_every_subset():
             slack = smask.bit_count() - 2
             assert _t_enumeration(group, smask) == any(b <= slack for b in walk)
     assert nothing_admissible > 0
+
+
+# ---------------------------------------------------------------------------
+# The branch-and-bound search against the unbounded walk it replaced
+
+
+def unbounded_admissible_sets(group, smask, k):
+    """(X, |X|, boundary) for every admissible X containing 1, connected for
+    k <= 2, in the order of the pruned search with no bound on the boundary."""
+    n = group.order
+    limit = n - k
+    tables = TranslateTables(group, smask)
+    xs = tables.xs_masks()
+    nbr = tables.neighbor_masks() if k <= 2 else [(1 << n) - 1] * n
+    seed = 1 << IDENTITY
+    seed_u = xs[IDENTITY]
+    if seed_u.bit_count() > limit:
+        return
+    if k <= 1:
+        yield seed, 1, seed_u.bit_count() - 1
+    # Node (X, XS, frontier, untried candidates, banned candidates).
+    x, u, frontier, ban = seed, seed_u, nbr[IDENTITY], 0
+    cands = frontier & ~seed
+    stack = []
+    while True:
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            c = low.bit_length() - 1
+            nu = u | xs[c]
+            usize = nu.bit_count()
+            if usize <= limit:
+                nx = x | low
+                size = nx.bit_count()
+                if size >= k:
+                    yield nx, size, usize - size
+                grown = frontier | nbr[c]
+                child_cands = grown & ~(ban | nx)
+                if child_cands:
+                    if cands:
+                        stack.append((x, u, frontier, cands, ban | low))
+                    x, u, frontier, cands = nx, nu, grown, child_cands
+                    continue
+            ban |= low
+        if not stack:
+            return
+        x, u, frontier, cands, ban = stack.pop()
+
+
+def assert_search_matches_unbounded_walk(s, k):
+    """find_atoms, find_fragments and boundary_witness equal what the
+    unbounded walk gives, or all find s not k-separable."""
+    group = s.group
+    walk = list(unbounded_admissible_sets(group, s.mask, k))
+    if not walk:
+        with pytest.raises(NotSeparableError):
+            find_atoms(s, k)
+        with pytest.raises(NotSeparableError):
+            find_fragments(s, k)
+        assert boundary_witness(group, s.mask, k, group.order) is None
+        return None
+    reports = []
+    for atom_cap in (1, 3, 256):
+        tally = _tally(walk, k, atom_cap)
+        reports.append(_fragment_report(group, k, tally, atom_cap, oracle_used=False))
+        assert find_atoms(s, k, atom_cap=atom_cap) == reports[-1]
+    assert [f.mask for f in find_fragments(s, k)] == tally.fragment_masks()
+    for target in (tally.kappa - 1, tally.kappa, tally.kappa + 1):
+        first = next((x for x, _, b in walk if b <= target), None)
+        assert boundary_witness(group, s.mask, k, target) == first
+    return reports
+
+
+def test_search_matches_unbounded_walk_on_every_small_generating_set():
+    separable = truncated = 0
+    for spec in catalog_specs(10):
+        group = build_group(spec)
+        for s in generating_sets_with_identity(group):
+            for k in (1, 2, 3):
+                reports = assert_search_matches_unbounded_walk(s, k) or []
+                separable += bool(reports)
+                truncated += any(r.atoms_truncated for r in reports)
+    assert separable > 3000 and truncated > 1000
+
+
+def test_search_matches_unbounded_walk_at_orders_17_to_20():
+    # Sets of 3 to 6 elements, as in the benchmark's atoms schedule: the
+    # walks there are long enough for the bound to cut.
+    rng = random.Random(1617)
+    specs = [spec for spec in catalog_specs(20) if spec.order >= 17]
+    checked = 0
+    for i in range(8):
+        group = build_group(specs[i * len(specs) // 8])
+        s = random_generating_set(rng, group, min_size=3, max_size=6)
+        checked += assert_search_matches_unbounded_walk(s, 1 + i % 3) is not None
+    assert checked >= 6
+
+
+def test_atom_cap_zero_flags_truncation():
+    # No atom is listed, so the one atom that exists must be flagged.
+    s = subset(make_cyclic(6), 0, 2, 3)
+    for engine in (find_atoms, oracle_atoms):
+        report = engine(s, 2, atom_cap=0)
+        assert (report.kappa, report.alpha, report.fragment_count) == (2, 2, 1)
+        assert report.atoms == () and report.atoms_truncated
