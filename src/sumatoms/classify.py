@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .bitset import bit_indices, mask_from_indices, permute_mask
-from .errors import GroupMismatchError, PreconditionError
+from .errors import PreconditionError
 from .groups import (
     IDENTITY,
     FiniteGroup,
@@ -27,6 +27,7 @@ from .groups import (
     double_coset_pairs,
     enumerate_subgroups,
     generated_subgroup,
+    require_same_group,
     right_coset_decomposition,
     right_coset_mask,
 )
@@ -139,11 +140,6 @@ class HypothesisReport:
 # Hypothesis
 
 
-def _require_group(group: FiniteGroup, s: GroupSubset) -> None:
-    if s.group is not group:
-        raise GroupMismatchError("subset belongs to a different group")
-
-
 def _proper_subgroups(group: FiniteGroup) -> list[GroupSubset]:
     """The subgroups H with 2 <= |H| < |G|, in enumerate_subgroups order."""
     n = group.order
@@ -190,7 +186,7 @@ def hypothesis_holds(group: FiniteGroup, s: GroupSubset) -> HypothesisReport:
     try structured witnesses (pairs, subgroups, double-coset pairs) first
     and fall back to the complete search.
     """
-    _require_group(group, s)
+    require_same_group(group, s)
     if len(s) < 2:
         raise PreconditionError(f"need at least 2 elements, got {len(s)}")
     s1, norm = normalize(s)
@@ -209,10 +205,10 @@ def hypothesis_holds(group: FiniteGroup, s: GroupSubset) -> HypothesisReport:
     if n > HYPOTHESIS_EXACT_CAP:
         witness_mask = _structured_boundary_witness(s1.translates, target)
     if witness_mask is None:
-        witness_mask = boundary_witness(group, s1.mask, 2, target)
+        witness_mask = boundary_witness(s1.translates, 2, target)
     separable = (
         witness_mask is not None
-        or _separability_witness(group, s1.mask, 2) is not None
+        or _separability_witness(s1.translates, 2) is not None
     )
     return HypothesisReport(
         holds=witness_mask is not None,
@@ -237,7 +233,7 @@ def detect_geometric_progression(
     gS = g(Sg)g^-1 = {1, gag^-1, ...} for the same g, so the scan finds a
     left-hand witness whenever a right-hand one exists.
     """
-    _require_group(group, s)
+    require_same_group(group, s)
     if len(s) < 2:
         raise PreconditionError(f"need at least 2 elements, got {len(s)}")
     m = len(s)
@@ -287,7 +283,7 @@ def find_case_ii_subgroup(
     group: FiniteGroup, s: GroupSubset
 ) -> Optional[CaseIIWitness]:
     """Smallest proper nontrivial subgroup with |H S^eps| <= |H| + |S| - 1."""
-    _require_group(group, s)
+    require_same_group(group, s)
     found = _subgroup_cover(s.translates, 1)
     return CaseIIWitness(*found) if found is not None else None
 
@@ -301,7 +297,7 @@ def find_case_iii_witness(
     possible subgroup size, so the scan is gated on it; under the gate the
     two targets coincide for every pair A = H u Ha.
     """
-    _require_group(group, s)
+    require_same_group(group, s)
     n = group.order
     ssize = len(s)
     if (n + 1 - ssize) % 4 != 0:
@@ -402,7 +398,7 @@ def classify(
     A precomputed hypothesis report may be supplied by sweeps that decide
     it once per translate class.
     """
-    _require_group(group, s)
+    require_same_group(group, s)
     hyp = hypothesis if hypothesis is not None else hypothesis_holds(group, s)
     s1 = hyp.normalized
     if not hyp.holds:
@@ -466,7 +462,7 @@ def check_corollary_bound(
     Vacuous for the other cases.  Uses exact integer arithmetic:
     |S| > n - 4*sqrt(n) iff (n - |S|)^2 < 16n (sizes never exceed n).
     """
-    _require_group(group, s)
+    require_same_group(group, s)
     if result.case is not Case.CASE_III:
         return CorollaryVerdict(applicable=False, passed=True, transcript=())
     n = group.order
@@ -507,7 +503,7 @@ def verify_mann(group: FiniteGroup, s: GroupSubset) -> MannVerdict:
     case is settled by the generated subgroup directly).  When it holds, a
     proper subgroup must cover S from one side within |H| + |S| - 2.
     """
-    _require_group(group, s)
+    require_same_group(group, s)
     if not s:
         raise PreconditionError("cannot analyze the empty set")
     s1, norm = normalize(s)
@@ -518,7 +514,7 @@ def verify_mann(group: FiniteGroup, s: GroupSubset) -> MannVerdict:
         hypothesis = len(s1) >= 2
     else:
         hypothesis = (
-            boundary_witness(group, s1.mask, 1, len(s1) - 2) is not None
+            boundary_witness(s1.translates, 1, len(s1) - 2) is not None
         )
     found = _subgroup_cover(s1.translates, 2) if hypothesis else None
     return MannVerdict(
@@ -604,7 +600,7 @@ def verify_two_coset_theorem(group: FiniteGroup, s: GroupSubset) -> TwoCosetVerd
     Conclusion (always computed exactly): the complement of HS is exactly
     two right H-cosets, and HS = AS.
     """
-    _require_group(group, s)
+    require_same_group(group, s)
     s1, norm = normalize(s)
     n = group.order
     pre: list[PreconditionStatus] = []
@@ -631,7 +627,7 @@ def verify_two_coset_theorem(group: FiniteGroup, s: GroupSubset) -> TwoCosetVerd
             return TwoCosetVerdict(False, None, tuple(pre), (), s1)
         kappa2 = rep2.kappa
         status("kappa2_equals_size_minus_1", kappa2 == target, f"kappa_2 = {kappa2}")
-        kappa1_wit = boundary_witness(group, s1.mask, 1, target - 1)
+        kappa1_wit = boundary_witness(tables, 1, target - 1)
         status(
             "kappa1_equals_size_minus_1",
             kappa1_wit is None,

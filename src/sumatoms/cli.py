@@ -174,14 +174,14 @@ def cmd_atoms(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.example:
-        if args.semidirect is None:
-            raise PreconditionError("--example requires --semidirect P Q")
+        if args.semidirect is None or args.set is not None:
+            args.parser.error("--example takes --semidirect P Q and no --set")
         inst = build_example(args.semidirect[0], args.semidirect[1], cap=args.order_cap)
         group, subset = inst.group, inst.subset
     else:
-        group = _resolve_group(args)
         if args.set is None:
-            raise ParseError("provide --set or --example")
+            args.parser.error("provide --set or --example")
+        group = _resolve_group(args)
         subset = GroupSubset.from_literal(group, args.set)
     result = classify(group, subset)
     corollary = check_corollary_bound(group, subset, result)

@@ -20,10 +20,15 @@ from .errors import (
     DisconnectedGraphError,
     EngineMismatchError,
     GraphTooLargeError,
-    GroupMismatchError,
     PreconditionError,
 )
-from .groups import FiniteGroup, GroupSubset, double_coset_mask, right_coset_mask
+from .groups import (
+    FiniteGroup,
+    GroupSubset,
+    double_coset_mask,
+    require_same_group,
+    right_coset_mask,
+)
 
 DEFAULT_EXACT_CUT_CAP = 16
 EXHAUSTIVE_CUT_CAP = 22
@@ -148,8 +153,7 @@ def build_quotient_graph(
     group: FiniteGroup, subgroup: GroupSubset, a: int
 ) -> DirectedGraph:
     """The digraph on right cosets Hx with an arc Hx -> Hy when HaHx covers Hy."""
-    if subgroup.group is not group:
-        raise GroupMismatchError("subgroup belongs to a different group")
+    require_same_group(group, subgroup)
     if not subgroup.is_subgroup():
         raise PreconditionError(f"{{{subgroup.to_literal()}}} is not a subgroup")
     if not 0 <= a < group.order:

@@ -272,23 +272,19 @@ class GroupSubset:
     def __iter__(self) -> Iterator[int]:
         return bit_indices(self.mask)
 
-    def _check(self, other: "GroupSubset") -> None:
-        if self.group is not other.group:
-            raise GroupMismatchError("subsets belong to different groups")
-
     def union(self, other: "GroupSubset") -> "GroupSubset":
-        self._check(other)
+        require_same_group(self.group, other)
         return GroupSubset(self.group, self.mask | other.mask)
 
     def intersection(self, other: "GroupSubset") -> "GroupSubset":
-        self._check(other)
+        require_same_group(self.group, other)
         return GroupSubset(self.group, self.mask & other.mask)
 
     def complement(self) -> "GroupSubset":
         return GroupSubset(self.group, ~self.mask & ((1 << self.group.order) - 1))
 
     def issubset(self, other: "GroupSubset") -> bool:
-        self._check(other)
+        require_same_group(self.group, other)
         return self.mask & ~other.mask == 0
 
     def inverse_set(self) -> "GroupSubset":
@@ -324,6 +320,13 @@ class GroupSubset:
 
     def __repr__(self) -> str:
         return f"GroupSubset({self.group.name!r}, {{{self.to_literal()}}})"
+
+
+def require_same_group(group: FiniteGroup, *subsets: GroupSubset) -> FiniteGroup:
+    """``group``, once every subset is checked to belong to it."""
+    if any(s.group is not group for s in subsets):
+        raise GroupMismatchError("operands belong to different groups")
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +508,7 @@ def closure_mask(group: FiniteGroup, generators: Iterable[int]) -> int:
 
 def generated_subgroup(group: FiniteGroup, subset: GroupSubset) -> GroupSubset:
     """The subgroup generated by a nonempty subset."""
-    if subset.group is not group:
-        raise GroupMismatchError("subset belongs to a different group")
+    require_same_group(group, subset)
     if not subset:
         raise PreconditionError("cannot generate a subgroup from the empty set")
     return GroupSubset(group, closure_mask(group, subset.indices()))
@@ -603,8 +605,7 @@ def right_coset_decomposition(
     group: FiniteGroup, subset: GroupSubset, subgroup: GroupSubset
 ) -> list[GroupSubset]:
     """Partition X into its nonempty slices X ∩ Hx, ordered by smallest element."""
-    if subset.group is not group or subgroup.group is not group:
-        raise GroupMismatchError("operands belong to different groups")
+    require_same_group(group, subset, subgroup)
     _require_subgroup(subgroup)
     parts = []
     remaining = subset.mask

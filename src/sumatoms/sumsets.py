@@ -20,13 +20,12 @@ import numpy as np
 
 from .bitset import bit_indices, indices_tuple, mask_from_indices, permute_mask
 from .errors import (
-    GroupMismatchError,
     NotGeneratingError,
     NotSeparableError,
     OracleCapError,
     PreconditionError,
 )
-from .groups import IDENTITY, FiniteGroup, GroupSubset, closure_mask
+from .groups import IDENTITY, FiniteGroup, GroupSubset, closure_mask, require_same_group
 
 DEFAULT_ATOM_CAP = 256
 FRAGMENT_COUNT_EXACT_CAP = 20
@@ -82,14 +81,8 @@ def product_mask(group: FiniteGroup, xmask: int, ymask: int) -> int:
     return out
 
 
-def _check_pair(a: GroupSubset, b: GroupSubset) -> FiniteGroup:
-    if a.group is not b.group:
-        raise GroupMismatchError("operands belong to different groups")
-    return a.group
-
-
 def product_set(x: GroupSubset, y: GroupSubset) -> GroupSubset:
-    group = _check_pair(x, y)
+    group = require_same_group(x.group, y)
     return GroupSubset(group, product_mask(group, x.mask, y.mask))
 
 
@@ -102,14 +95,14 @@ def _require_identity(smask: int) -> None:
 
 def boundary(s: GroupSubset, x: GroupSubset) -> GroupSubset:
     """The boundary XS \\ X of X under right multiplication by S."""
-    group = _check_pair(s, x)
+    group = require_same_group(s.group, x)
     _require_identity(s.mask)
     xs = product_mask(group, x.mask, s.mask)
     return GroupSubset(group, xs & ~x.mask)
 
 def remainder(s: GroupSubset, x: GroupSubset) -> GroupSubset:
     """Everything outside X and its boundary (the complement of XS when 1 is in S)."""
-    group = _check_pair(s, x)
+    group = require_same_group(s.group, x)
     xs = product_mask(group, x.mask, s.mask)
     full = (1 << group.order) - 1
     return GroupSubset(group, full & ~(x.mask | xs))
@@ -181,19 +174,18 @@ class TranslateTables:
 # Separability
 
 
-def _separability_witness(group: FiniteGroup, smask: int, k: int) -> Optional[int]:
+def _separability_witness(tables: TranslateTables, k: int) -> Optional[int]:
     """A mask X containing the identity with |X| = k and |X*| >= k, or None.
 
     Product masks grow with X, so size-k candidates decide separability, and
     every candidate class has a representative containing the identity.
     """
-    n = group.order
+    n = tables.group.order
     if k < 1:
         raise PreconditionError(f"k must be positive, got {k}")
     if 2 * k > n:
         return None
     full = (1 << n) - 1
-    tables = TranslateTables(group, smask)
     xs = tables.xs_masks()
     base = 1 << IDENTITY
     base_xs = xs[IDENTITY]
@@ -209,7 +201,7 @@ def _separability_witness(group: FiniteGroup, smask: int, k: int) -> Optional[in
 
 def is_k_separable(s: GroupSubset, k: int) -> bool:
     """Whether some X has |X| >= k and remainder of size >= k."""
-    return _separability_witness(s.group, s.mask, k) is not None
+    return _separability_witness(s.translates, k) is not None
 
 
 def _require_generating(group: FiniteGroup, smask: int) -> None:
@@ -236,7 +228,7 @@ def _require_generating(group: FiniteGroup, smask: int) -> None:
 
 
 def _admissible_sets(
-    group: FiniteGroup, smask: int, k: int, target: Optional[int] = None
+    tables: TranslateTables, k: int, target: Optional[int] = None
 ) -> Iterator[tuple[int, int, int]]:
     """Yield (X, |X|, boundary size) for admissible X containing 1.
 
@@ -251,10 +243,9 @@ def _admissible_sets(
     yielded before it, whichever is smaller.  So every minimizer and the
     first X with boundary <= ``target`` are yielded.
     """
-    n = group.order
+    n = tables.group.order
     limit = n - k
     bound = n if target is None else target
-    tables = TranslateTables(group, smask)
     xs = tables.xs_masks()
     nbr = tables.neighbor_masks() if k <= 2 else [(1 << n) - 1] * n
     seed = 1 << IDENTITY
@@ -297,17 +288,15 @@ def _admissible_sets(
         x, u, frontier, cands, ban = pop()
 
 
-def boundary_witness(
-    group: FiniteGroup, smask: int, k: int, target: int
-) -> Optional[int]:
+def boundary_witness(tables: TranslateTables, k: int, target: int) -> Optional[int]:
     """A mask X (1 in X, |X| >= k, |X*| >= k) with boundary <= target, or None.
 
     Complete decision via the same search as the atom computation, stopping
     at the first witness.
     """
-    if target < 0 or 2 * k > group.order:
+    if target < 0 or 2 * k > tables.group.order:
         return None
-    return next((x for x, _, _ in _admissible_sets(group, smask, k, target)), None)
+    return next((x for x, _, _ in _admissible_sets(tables, k, target)), None)
 
 
 @dataclass(frozen=True)
@@ -385,7 +374,7 @@ def _checked_input(s: GroupSubset, k: int) -> None:
 def _walk_report(s: GroupSubset, k: int, atom_cap: int) -> tuple[FragmentReport, _Tally]:
     """The pruned search's report for (S, k), with the tally it was read from."""
     _checked_input(s, k)
-    tally = _tally(_admissible_sets(s.group, s.mask, k), k, atom_cap)
+    tally = _tally(_admissible_sets(s.translates, k), k, atom_cap)
     return _fragment_report(s.group, k, tally, atom_cap, oracle_used=False), tally
 
 
@@ -407,13 +396,8 @@ def isoperimetric_number(s: GroupSubset, k: int) -> int:
 
 def find_fragments(s: GroupSubset, k: int) -> tuple[GroupSubset, ...]:
     """All k-fragments containing the identity, of every size, at most ``DEFAULT_ATOM_CAP`` per size."""
-    return tuple(GroupSubset(s.group, m) for m in _atoms_and_fragment_masks(s, k)[1])
-
-
-def _atoms_and_fragment_masks(s: GroupSubset, k: int) -> tuple[FragmentReport, list[int]]:
-    """``find_atoms(s, k)`` and the masks of ``find_fragments(s, k)`` from one scan."""
-    report, tally = _walk_report(s, k, DEFAULT_ATOM_CAP)
-    return report, tally.fragment_masks()
+    tally = _walk_report(s, k, DEFAULT_ATOM_CAP)[1]
+    return tuple(GroupSubset(s.group, m) for m in tally.fragment_masks())
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +439,7 @@ def _block_layout(n: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
     return (n - bits, *_block_patterns(bits))
 
 
-def _exhaustive_blocks(
-    group: FiniteGroup, smask: int
-) -> Iterator[tuple[int, list[int], np.ndarray]]:
+def _exhaustive_blocks(tables: TranslateTables) -> Iterator[tuple[int, list[int], np.ndarray]]:
     """Every subset X containing 1, one block at a time.
 
     Yields (low, least, usize).  ``low`` is the part of X below the block,
@@ -466,8 +448,8 @@ def _exhaustive_blocks(
     patterns of t elements.  ``usize`` is overwritten by the next block.
     Within each size |X| the subsets come in indices_tuple order.
     """
-    n = group.order
-    xs = TranslateTables(group, smask).xs_masks()
+    n = tables.group.order
+    xs = tables.xs_masks()
     first, order, bounds = _block_layout(n)
     block = np.zeros(len(order), dtype=np.uint64)
     h = 1
@@ -491,19 +473,19 @@ def _exhaustive_blocks(
         yield low, np.minimum.reduceat(usize, bounds[:-1]).tolist(), usize
 
 
-def _exhaustive_tally(group: FiniteGroup, smask: int, k: int, atom_cap: int) -> _Tally:
+def _exhaustive_tally(tables: TranslateTables, k: int, atom_cap: int) -> _Tally:
     """The :func:`_tally` of the admissible sets, found among every subset containing 1.
 
     Counts and achievers are kept only while a size's least boundary is the
     least of all sizes so far, which the fragment sizes' always is.
     """
-    limit = group.order - k
-    first, order, bounds = _block_layout(group.order)
+    limit = tables.group.order - k
+    first, order, bounds = _block_layout(tables.group.order)
     best_by_size: dict[int, int] = {}
     achievers: dict[int, list[int]] = {}
     counts: dict[int, int] = {}
     kappa = limit  # above every admissible boundary
-    for low, least, usize in _exhaustive_blocks(group, smask):
+    for low, least, usize in _exhaustive_blocks(tables):
         base = low.bit_count()
         for t, u in enumerate(least):
             size = base + t
@@ -532,14 +514,14 @@ def _exhaustive_tally(group: FiniteGroup, smask: int, k: int, atom_cap: int) -> 
     return _Tally(kappa, best_by_size, achievers, counts)
 
 
-def _exhaustive_boundary_within(group: FiniteGroup, smask: int, k: int, target: int) -> bool:
+def _exhaustive_boundary_within(tables: TranslateTables, k: int, target: int) -> bool:
     """Whether an admissible X containing 1 has boundary at most ``target``.
 
     Decided over every subset containing 1, independently of
     :func:`boundary_witness`.
     """
-    limit = group.order - k
-    for low, least, _ in _exhaustive_blocks(group, smask):
+    limit = tables.group.order - k
+    for low, least, _ in _exhaustive_blocks(tables):
         base = low.bit_count()
         for t, u in enumerate(least):
             if base + t >= k and u <= limit and u - (base + t) <= target:
@@ -571,7 +553,7 @@ def oracle_atoms(
         raise OracleCapError(
             f"group order {group.order} exceeds oracle cap {order_cap}"
         )
-    tally = _exhaustive_tally(group, s.mask, k, atom_cap)
+    tally = _exhaustive_tally(s.translates, k, atom_cap)
     return _fragment_report(group, k, tally, atom_cap, oracle_used=True)
 
 

@@ -52,11 +52,12 @@ from .groups import (
     generated_subgroup,
 )
 from .sumsets import (
-    _atoms_and_fragment_masks,
+    DEFAULT_ATOM_CAP,
     _exhaustive_boundary_within,
     _left_translates,
     _overlapping_pair,
     _separability_witness,
+    _walk_report,
     atom_translates,
     find_atoms,
     oracle_atoms,
@@ -205,9 +206,9 @@ def _oracle_group(spec: GroupSpec) -> OracleRow:
     checked = 0
     mismatches: list[str] = []
     for smask in _generating_subsets(group):
-        if _separability_witness(group, smask, 2) is None:
-            continue
         subset = GroupSubset(group, smask)
+        if _separability_witness(subset.translates, 2) is None:
+            continue
         fast = find_atoms(subset, 2)
         slow = oracle_atoms(subset, 2)
         checked += 1
@@ -252,10 +253,10 @@ def sweep_oracle_random(
             smask |= 1 << m
         if closure_mask(group, indices_tuple(smask)) != (1 << n) - 1:
             continue
-        if _separability_witness(group, smask, k) is None:
+        subset = GroupSubset(group, smask)
+        if _separability_witness(subset.translates, k) is None:
             continue
         produced += 1
-        subset = GroupSubset(group, smask)
         fast = find_atoms(subset, k)
         slow = oracle_atoms(subset, k)
         if not fast.same_result(slow):
@@ -281,7 +282,8 @@ def _t_enumeration(group: FiniteGroup, smask: int) -> bool:
     # Exists nonempty T with |T S| <= |T| + |S| - 2 and TS != G; T may be
     # translated to contain the identity.  The oracle's scan visits every
     # such T with TS != G, whose boundary is |TS| - |T|.
-    return _exhaustive_boundary_within(group, smask, 1, smask.bit_count() - 2)
+    s = GroupSubset(group, smask)
+    return _exhaustive_boundary_within(s.translates, 1, len(s) - 2)
 
 
 def _mann_group(spec: GroupSpec) -> MannRow:
@@ -353,9 +355,9 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
         subset = GroupSubset(group, smask)
         name = f"{spec.name} S={subset.to_literal()}"
         sinv = subset.inverse_set()
-        two_separable = _separability_witness(group, smask, 2) is not None
+        two_separable = _separability_witness(subset.translates, 2) is not None
         if two_separable:
-            rep, fragments = _atoms_and_fragment_masks(subset, 2)
+            rep, tally = _walk_report(subset, 2, DEFAULT_ATOM_CAP)
             rep_inv = find_atoms(sinv, 2)
             if rep.atoms_truncated:
                 failures.append(f"atom list truncated: {name}")
@@ -368,11 +370,11 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
                 failures.append(f"kappa differs under inversion: {name}")
             if rep.alpha <= rep_inv.alpha:
                 frag_checked += 1
-                frag_masks = _left_translates(group, fragments)
+                frag_masks = _left_translates(group, tally.fragment_masks())
                 if any(_straddles(atom.mask, frag_masks, 2) for atom in rep.atoms):
                     failures.append(f"atom/fragment overlap: {name}")
-        if _separability_witness(group, smask, 1) is not None:
-            rep1, fragments1 = _atoms_and_fragment_masks(subset, 1)
+        if _separability_witness(subset.translates, 1) is not None:
+            rep1, tally1 = _walk_report(subset, 1, DEFAULT_ATOM_CAP)
             rep1_inv = find_atoms(sinv, 1)
             if rep1.alpha <= rep1_inv.alpha:
                 subgroup_checked += 1
@@ -381,7 +383,7 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
                         failures.append(f"level-1 atom not a subgroup: {name}")
             if two_separable and rep.alpha <= rep_inv.alpha:
                 # level-1 atoms sit inside or entirely outside every fragment
-                frag_masks = _left_translates(group, fragments1)
+                frag_masks = _left_translates(group, tally1.fragment_masks())
                 for atom in rep1.atoms:
                     if _straddles(atom.mask, frag_masks, 1):
                         failures.append(f"level-1 atom straddles fragment: {name}")

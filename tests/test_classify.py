@@ -129,7 +129,7 @@ def test_hypothesis_matches_exact_kappa():
         if closure_mask(group, s.indices()) != (1 << n) - 1:
             continue
         rep = hypothesis_holds(group, s)
-        if _separability_witness(group, s.mask, 2) is None:
+        if _separability_witness(s.translates, 2) is None:
             assert not rep.holds
             continue
         kappa = oracle_atoms(s, 2).kappa
@@ -161,7 +161,7 @@ def test_structured_witness_below_the_exact_cap():
                 assert x.bit_count() >= 2
                 assert prod.bit_count() <= n - 2
                 assert (prod & ~x).bit_count() <= target
-                assert boundary_witness(group, s.mask, 2, target) is not None
+                assert boundary_witness(s.translates, 2, target) is not None
             literal = None
             for h in enumerate_subgroups(group):
                 if not 2 <= len(h) < n:

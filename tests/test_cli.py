@@ -254,6 +254,20 @@ def test_unrecognized_arguments_show_the_command_usage(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        "classify --cyclic 6",
+        "classify --cyclic 6 --example",
+        'classify --semidirect 7 3 --example --set "0 1"',
+    ],
+)
+def test_classify_without_exactly_one_set_source_is_a_usage_error(argv, capsys):
+    code, out = run_cli(*shlex.split(argv))
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("usage: sumatoms classify [-h]")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         'atoms --cyclic 7 --set "0 1 2" --k 0',
         'quotient --semidirect 7 3 --subgroup "0 1 2" --element 3 --k 0',
         'quotient --semidirect 7 3 --subgroup "0 1 2" --element 3 --k -2',

@@ -114,6 +114,33 @@ def test_separability():
     assert not is_k_separable(subset(g7, 0, 1, 3), 3)
 
 
+def test_a_set_builds_its_translate_tables_once(monkeypatch):
+    # The walk, the separability scan and the oracle's block scan all read
+    # the tables the set owns.
+    from sumatoms.classify import hypothesis_holds
+
+    built = []
+    init = TranslateTables.__init__
+
+    def counting(self, group, smask):
+        built.append(smask)
+        init(self, group, smask)
+
+    monkeypatch.setattr(TranslateTables, "__init__", counting)
+    s = subset(make_cyclic(12), 0, 1, 5)
+    for call in (find_atoms, find_fragments, oracle_atoms, is_k_separable):
+        call(s, 2)
+    assert built == [s.mask]
+    # kappa_2 of {0, 1, 3} in C7 is 3 > |S| - 1: the walk finds no witness,
+    # and the separability fallback reuses its table.
+    g7 = make_cyclic(7)
+    t = subset(g7, 0, 1, 3)
+    built.clear()
+    report = hypothesis_holds(g7, t)
+    assert not report.holds and report.two_separable
+    assert built == [t.mask]
+
+
 def test_nonpositive_k_is_a_precondition():
     s = subset(make_cyclic(7), 0, 1, 2)
     for call in (is_k_separable, find_atoms, find_fragments, oracle_atoms):
@@ -201,7 +228,7 @@ def test_oracle_agreement_random():
         group = build_group(spec)
         s = random_generating_set(rng, group)
         for k in (1, 2, 3):
-            if _separability_witness(group, s.mask, k) is None:
+            if _separability_witness(s.translates, k) is None:
                 continue
             assert find_atoms(s, k).same_result(oracle_atoms(s, k))
 
@@ -216,11 +243,11 @@ def test_boundary_witness_matches_oracle_kappa():
         group = build_group(spec)
         s = random_generating_set(rng, group)
         for k in (1, 2, 3):
-            if _separability_witness(group, s.mask, k) is None:
+            if _separability_witness(s.translates, k) is None:
                 continue
             kappa = oracle_atoms(s, k).kappa
-            assert boundary_witness(group, s.mask, k, kappa - 1) is None
-            witness = boundary_witness(group, s.mask, k, kappa)
+            assert boundary_witness(s.translates, k, kappa - 1) is None
+            witness = boundary_witness(s.translates, k, kappa)
             assert witness is not None
             x = GroupSubset(group, witness)
             assert 0 in x and len(x) >= k
@@ -236,7 +263,7 @@ def test_deep_searches_leave_recursion_limit_alone():
     limit = sys.getrecursionlimit()
     n = 2048
     c2048 = make_cyclic(n)
-    x = boundary_witness(c2048, 0b11, n // 2 - 1, 1)
+    x = boundary_witness(TranslateTables(c2048, 0b11), n // 2 - 1, 1)
     assert x is not None and x.bit_count() == n // 2 - 1
     assert sys.getrecursionlimit() == limit
     rep = find_atoms(subset(make_cyclic(300), 0, 1), 1)
@@ -254,9 +281,9 @@ def test_kappa_inversion_invariance():
         s = random_generating_set(rng, group)
         sinv = s.inverse_set()
         for k in (1, 2):
-            if _separability_witness(group, s.mask, k) is None:
+            if _separability_witness(s.translates, k) is None:
                 continue
-            assert _separability_witness(group, sinv.mask, k) is not None
+            assert _separability_witness(sinv.translates, k) is not None
             assert isoperimetric_number(s, k) == isoperimetric_number(sinv, k)
 
 
@@ -269,7 +296,7 @@ def test_right_translate_preserves_atoms():
         spec = specs[rng.randrange(len(specs))]
         group = build_group(spec)
         s = random_generating_set(rng, group)
-        if _separability_witness(group, s.mask, 2) is None:
+        if _separability_witness(s.translates, 2) is None:
             continue
         rep = find_atoms(s, 2)
         for elem in s.inverse_set():
@@ -293,7 +320,7 @@ def test_remainder_fragment_duality():
         group = build_group(spec)
         s = random_generating_set(rng, group)
         for k in (1, 2):
-            if _separability_witness(group, s.mask, k) is None:
+            if _separability_witness(s.translates, k) is None:
                 continue
             sinv = s.inverse_set()
             kappa_inv = isoperimetric_number(sinv, k)
@@ -314,7 +341,7 @@ def test_kappa_monotone_in_k():
         spec = specs[rng.randrange(len(specs))]
         group = build_group(spec)
         s = random_generating_set(rng, group)
-        if _separability_witness(group, s.mask, 2) is None:
+        if _separability_witness(s.translates, 2) is None:
             continue
         k1 = isoperimetric_number(s, 1)
         k2 = isoperimetric_number(s, 2)
@@ -375,7 +402,7 @@ def test_atoms_listed_lexicographically():
     for _ in range(20):
         group = build_group(specs[rng.randrange(len(specs))])
         s = random_generating_set(rng, group)
-        if _separability_witness(group, s.mask, 2) is None:
+        if _separability_witness(s.translates, 2) is None:
             continue
         rep = find_atoms(s, 2)
         keys = [a.indices() for a in rep.atoms]
@@ -406,7 +433,7 @@ def _nonperiodic_atom_instances():
                 continue
             if closure_mask(group, indices_tuple(smask)) != full:
                 continue
-            if _separability_witness(group, smask, 2) is None:
+            if _separability_witness(TranslateTables(group, smask), 2) is None:
                 continue
             s = GroupSubset(group, smask)
             rep = find_atoms(s, 2)
@@ -465,7 +492,7 @@ def test_left_translates_of_atoms_are_atoms():
         spec = specs[rng.randrange(len(specs))]
         group = build_group(spec)
         s = random_generating_set(rng, group)
-        if _separability_witness(group, s.mask, 2) is None:
+        if _separability_witness(s.translates, 2) is None:
             continue
         rep = find_atoms(s, 2)
         for atom in rep.atoms:
@@ -485,7 +512,7 @@ def test_periodic_atom_translate_bound():
         spec = specs[rng.randrange(len(specs))]
         group = build_group(spec)
         s = random_generating_set(rng, group, min_size=3)
-        if _separability_witness(group, s.mask, 2) is None:
+        if _separability_witness(s.translates, 2) is None:
             continue
         rep = find_atoms(s, 2)
         if group.order < 2 * rep.alpha + rep.kappa:
@@ -509,7 +536,7 @@ def test_fragment_count_matches_oracle():
         group = build_group(spec)
         s = random_generating_set(rng, group)
         for k in (1, 2):
-            if _separability_witness(group, s.mask, k) is None:
+            if _separability_witness(s.translates, k) is None:
                 continue
             fast = find_atoms(s, k)
             slow = oracle_atoms(s, k)
@@ -668,7 +695,7 @@ def assert_search_matches_unbounded_walk(s, k):
             find_atoms(s, k)
         with pytest.raises(NotSeparableError):
             find_fragments(s, k)
-        assert boundary_witness(group, s.mask, k, group.order) is None
+        assert boundary_witness(s.translates, k, group.order) is None
         return None
     reports = []
     for atom_cap in (1, 3, 256):
@@ -678,7 +705,7 @@ def assert_search_matches_unbounded_walk(s, k):
     assert [f.mask for f in find_fragments(s, k)] == tally.fragment_masks()
     for target in (tally.kappa - 1, tally.kappa, tally.kappa + 1):
         first = next((x for x, _, b in walk if b <= target), None)
-        assert boundary_witness(group, s.mask, k, target) == first
+        assert boundary_witness(s.translates, k, target) == first
     return reports
 
 
