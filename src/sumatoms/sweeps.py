@@ -13,7 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
-from .bitset import bit_indices, indices_tuple, permute_mask
+import numpy as np
+
 from .catalog import GroupSpec, build_group, catalog_specs
 from .classify import (
     Case,
@@ -41,18 +42,20 @@ from .digraphs import (
     oriented_rook,
     verify_translation_transitivity,
 )
-from .errors import PreconditionError
+from .errors import PreconditionError, SizeCapError
 from .family import build_example, sophie_germain_scan
 from .groups import (
     IDENTITY,
     FiniteGroup,
     GroupSubset,
-    closure_mask,
     double_coset_pairs,
+    enumerate_subgroups,
     generated_subgroup,
 )
 from .sumsets import (
+    _BLOCK_BITS,
     DEFAULT_ATOM_CAP,
+    ORACLE_ORDER_LIMIT,
     _exhaustive_boundary_within,
     _left_translates,
     _overlapping_pair,
@@ -70,7 +73,7 @@ T = TypeVar("T")
 def _map_specs(fn: Callable[[GroupSpec], T], specs: Sequence[GroupSpec], workers: int) -> list[T]:
     if workers <= 1 or len(specs) <= 1:
         return [fn(spec) for spec in specs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(specs))) as pool:
         return list(pool.map(fn, specs))
 
 
@@ -83,17 +86,91 @@ def _catalog(max_order: int) -> list[GroupSpec]:
     return specs
 
 
-def _canonical_class_mask(group: FiniteGroup, smask: int) -> int:
-    # Least right translate S*s^-1 (s in S) as an integer; each contains 1.
-    return min(permute_mask(smask, group.column(group.inverse[s])) for s in bit_indices(smask))
+def _require_mask_width(group: FiniteGroup) -> None:
+    if group.order > ORACLE_ORDER_LIMIT:
+        raise SizeCapError(
+            f"group order {group.order} exceeds the sweeps' limit of "
+            f"{ORACLE_ORDER_LIMIT} elements"
+        )
 
 
-def _generating_subsets(group: FiniteGroup) -> Iterator[int]:
-    """Masks of the generating subsets with 1 and at least 2 elements, ascending."""
+def _maximal_subgroup_misses(group: FiniteGroup) -> list[int]:
+    """The complements of the maximal subgroups.
+
+    A set generates G exactly when it lies in no maximal subgroup, that is,
+    when it meets every one of these complements.
+    """
+    proper = [h.mask for h in enumerate_subgroups(group)[:-1]]
     full = (1 << group.order) - 1
-    for smask in range(3, 1 << group.order, 2):
-        if closure_mask(group, indices_tuple(smask)) == full:
-            yield smask
+    return [full & ~h for h in proper if not any(h != m and h & m == h for m in proper)]
+
+
+# ---------------------------------------------------------------------------
+# The subsets a catalog sweep visits
+#
+# Masks are scanned in ascending order, 2^_BLOCK_BITS at a time as uint64
+# arrays, so a subset costs a few numpy operations instead of a closure and
+# |S| permute_mask calls, and memory stays flat at any order.
+
+
+def _mask_blocks(group: FiniteGroup, generating: bool) -> Iterator[np.ndarray]:
+    """The masks of the sets of at least 2 elements, ascending, in uint64 blocks.
+
+    With ``generating``, only the sets that contain 1 and generate G.
+    """
+    _require_mask_width(group)
+    n = group.order
+    misses = [np.uint64(m) for m in _maximal_subgroup_misses(group)] if generating else []
+    step = 2 if generating else 1  # sets containing 1 have odd masks
+    width = min(step << _BLOCK_BITS, 1 << n)
+    offsets = np.arange(step - 1, width, step, dtype=np.uint64)
+    for base in range(0, 1 << n, width):
+        masks = offsets + np.uint64(base)
+        keep = np.bitwise_count(masks) >= 2
+        for miss in misses:
+            keep &= (masks & miss) != 0
+        yield masks[keep]
+
+
+def _generating_masks(group: FiniteGroup) -> Iterator[int]:
+    """Masks of the generating subsets with 1 and at least 2 elements, ascending."""
+    for masks in _mask_blocks(group, True):
+        yield from masks.tolist()
+
+
+def _subset_classes(group: FiniteGroup, generating: bool) -> Iterator[tuple[int, int]]:
+    """Each mask of :func:`_mask_blocks` with its class, the least right
+    translate S*s^-1 over s in S, as an integer; each translate contains 1.
+
+    The image of a block under x -> x*s^-1 is gathered byte by byte from
+    256-entry tables, and the least image is kept where the mask holds s.
+    """
+    _require_mask_width(group)
+    n = group.order
+    nbytes = -(-n // 8)
+    # bits[s, x] = 1 << (x * s^-1), padded to whole bytes
+    bits = np.zeros((n, 8 * nbytes), dtype=np.uint64)
+    bits[:, :n] = np.uint64(1) << np.asarray(group.table, dtype=np.uint64)[:, group.inverse].T
+    bits = bits.reshape(n, nbytes, 8)
+    # images[s, j, b] = image under x -> x*s^-1 of the set whose mask is b << 8j
+    images = np.zeros((n, nbytes, 256), dtype=np.uint64)
+    for i in range(8):
+        np.bitwise_or(
+            images[:, :, : 1 << i], bits[:, :, i : i + 1], out=images[:, :, 1 << i : 2 << i]
+        )
+    for masks in _mask_blocks(group, generating):
+        slices = [
+            (masks >> np.uint64(8 * j) & np.uint64(0xFF)).astype(np.intp) for j in range(nbytes)
+        ]
+        least = np.full_like(masks, np.iinfo(np.uint64).max)
+        image = np.empty_like(masks)
+        for s in range(n):
+            np.take(images[s, 0], slices[0], out=image)
+            for j in range(1, nbytes):
+                image |= images[s, j, slices[j]]
+            held = (masks >> np.uint64(s) & np.uint64(1)).astype(bool)
+            np.minimum(least, image, out=least, where=held)
+        yield from zip(masks.tolist(), least.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +210,8 @@ def _main_theorem_group(spec: GroupSpec) -> MainTheoremRow:
     cases = {Case.CASE_I: 0, Case.CASE_II: 0, Case.CASE_III: 0}
     violations: list[str] = []
     unverified: list[str] = []
-    for smask in _generating_subsets(group):
+    for smask, canon in _subset_classes(group, True):
         generating += 1
-        canon = _canonical_class_mask(group, smask)
         if canon in cache:
             holds, witness_mask = cache[canon]
         else:
@@ -205,7 +281,7 @@ def _oracle_group(spec: GroupSpec) -> OracleRow:
     group = build_group(spec)
     checked = 0
     mismatches: list[str] = []
-    for smask in _generating_subsets(group):
+    for smask in _generating_masks(group):
         subset = GroupSubset(group, smask)
         if _separability_witness(subset.translates, 2) is None:
             continue
@@ -238,6 +314,7 @@ def sweep_oracle_random(
             f"random samples need a group of order at least 4; max order {max_order} has none"
         )
     groups = {s.name: build_group(s) for s in specs}
+    misses = {name: _maximal_subgroup_misses(g) for name, g in groups.items()}
     rows = []
     mismatches: list[str] = []
     produced = 0
@@ -251,7 +328,7 @@ def sweep_oracle_random(
         smask = 0
         for m in members:
             smask |= 1 << m
-        if closure_mask(group, indices_tuple(smask)) != (1 << n) - 1:
+        if not all(smask & miss for miss in misses[spec.name]):
             continue
         subset = GroupSubset(group, smask)
         if _separability_witness(subset.translates, k) is None:
@@ -288,18 +365,14 @@ def _t_enumeration(group: FiniteGroup, smask: int) -> bool:
 
 def _mann_group(spec: GroupSpec) -> MannRow:
     group = build_group(spec)
-    n = group.order
     agreement_cache: dict[int, bool] = {}
     subsets = hyp_true = 0
     disagreements: list[str] = []
     missing: list[str] = []
-    for smask in range(1, 1 << n):
-        if smask.bit_count() < 2:
-            continue
+    for smask, canon in _subset_classes(group, False):
         subsets += 1
         subset = GroupSubset(group, smask)
         verdict = verify_mann(group, subset)
-        canon = _canonical_class_mask(group, smask)
         if canon in agreement_cache:
             brute = agreement_cache[canon]
         else:
@@ -351,7 +424,7 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
     n = group.order
     pairwise = frag_checked = subgroup_checked = 0
     failures: list[str] = []
-    for smask in _generating_subsets(group):
+    for smask in _generating_masks(group):
         subset = GroupSubset(group, smask)
         name = f"{spec.name} S={subset.to_literal()}"
         sinv = subset.inverse_set()

@@ -5,6 +5,7 @@ stated tolerance is the 10-second budget of the family criterion.  Run with
 ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
+import hashlib
 import time
 
 from sumatoms import (
@@ -27,6 +28,21 @@ from sumatoms.sweeps import (
 
 MAIN_SWEEP_ORDER = 16
 SMALL_ORDER = 12
+
+# SHA-256 of render_kv(sweep_pairs(result)) for criteria 2, 4 and 5, recorded
+# from the per-subset enumeration (one closure per mask and the least right
+# translate by permute_mask) before the sweeps scanned their subsets in blocks.
+REPORT_SHA256 = {
+    "main-theorem": "dc79d7fabe0c0e81a86aa90ac6fcf7899425f5bbbce39b45a6322df612d0478f",
+    "mann": "eb3665b34a26c9316a0bdb1a4bc57cd72efd19b13bc2cf6ff769e2c69639ce74",
+    "intersection": "ff3f986cdbdfc6b8bb336f177d3ee74ed424d2908dcb261e728de6765cb18210",
+}
+
+
+def _pinned(result):
+    """Whether the sweep's machine report has its recorded digest."""
+    digest = hashlib.sha256(render_kv(sweep_pairs(result)).encode()).hexdigest()
+    return digest == REPORT_SHA256[result.suite]
 
 
 def _report(criterion, passed, detail):
@@ -65,14 +81,15 @@ def test_criterion_1_family_exact():
 
 def test_criterion_2_main_theorem_sweep():
     result = sweep_main_theorem(MAIN_SWEEP_ORDER, workers=1)
+    pinned = _pinned(result)
     classified = sum(r.case_i + r.case_ii + r.case_iii for r in result.rows)
     hyp = sum(r.hypothesis_true for r in result.rows)
     _report(
         2,
-        result.passed and classified == hyp,
+        result.passed and classified == hyp and pinned,
         f"{len(result.rows)} groups to order {MAIN_SWEEP_ORDER}, "
         f"{hyp} hypothesis-true subsets, {classified} classified, "
-        f"{len(result.failures)} violations",
+        f"{len(result.failures)} violations, report digest pinned: {pinned}",
     )
 
 
@@ -91,26 +108,29 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_mann_sweep():
     result = sweep_mann(SMALL_ORDER, workers=1)
+    pinned = _pinned(result)
     subsets = sum(r.subsets for r in result.rows)
     hyp = sum(r.hypothesis_true for r in result.rows)
     _report(
         4,
-        result.passed,
+        result.passed and pinned,
         f"{subsets} subsets to order {SMALL_ORDER}, {hyp} hypothesis-true, "
-        f"{len(result.failures)} failures",
+        f"{len(result.failures)} failures, report digest pinned: {pinned}",
     )
 
 
 def test_criterion_5_intersection_properties():
     result = sweep_intersection(SMALL_ORDER, workers=1)
+    pinned = _pinned(result)
     pairwise = sum(r.pairwise_checked for r in result.rows)
     fragments = sum(r.fragment_checked for r in result.rows)
     subgroups = sum(r.subgroup_checked for r in result.rows)
     _report(
         5,
-        result.passed,
+        result.passed and pinned,
         f"{pairwise} atom-pair instances, {fragments} atom-fragment instances, "
-        f"{subgroups} level-1 subgroup instances, {len(result.failures)} failures",
+        f"{subgroups} level-1 subgroup instances, {len(result.failures)} failures, "
+        f"report digest pinned: {pinned}",
     )
 
 
