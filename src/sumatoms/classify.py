@@ -27,19 +27,18 @@ from .groups import (
     double_coset_pairs,
     enumerate_subgroups,
     generated_subgroup,
+    product_mask,
     require_same_group,
     right_coset_decomposition,
     right_coset_mask,
 )
 from .sumsets import (
-    TranslateTables,
     _separability_witness,
     boundary,
     boundary_witness,
     find_atoms,
     maximal_left_period,
     normalize,
-    product_mask,
 )
 
 HYPOTHESIS_EXACT_CAP = 48
@@ -152,28 +151,26 @@ def _converted_witness(group: FiniteGroup, xmask: int, prod: int) -> int:
     return full & ~(xmask | prod)
 
 
-def _structured_boundary_witness(
-    tables: TranslateTables, target: int
-) -> Optional[int]:
+def _structured_boundary_witness(s: GroupSubset, target: int) -> Optional[int]:
     """Cheap witness hunt: pairs, subgroups, then double-coset pairs H u Ha.
 
     Checks each candidate family against S and then S^-1 (boundaries agree
     up to taking remainders, which converts a witness for one into one for
     the other).  Returns a witness for S or None; incomplete by design.
     """
-    group = tables.group
+    group = s.group
     n = group.order
     limit = n - 2
-    sides = ((1, tables), (-1, tables.inverse()))
+    sides = ((1, s), (-1, s.inverse_set()))
     families = (
         lambda: ((1 << IDENTITY) | (1 << g) for g in range(1, n)),
         lambda: (h.mask for h in _proper_subgroups(group)),
         lambda: (amask for _, _, amask in double_coset_pairs(group)),
     )
     for candidates in families:
-        for epsilon, tab in sides:
+        for epsilon, side in sides:
             for xmask in candidates():
-                prod = tab.product(xmask)
+                prod = side.product(xmask)
                 if prod.bit_count() <= limit and prod.bit_count() - xmask.bit_count() <= target:
                     return xmask if epsilon == 1 else _converted_witness(group, xmask, prod)
     return None
@@ -203,12 +200,12 @@ def hypothesis_holds(group: FiniteGroup, s: GroupSubset) -> HypothesisReport:
     target = len(s1) - 1
     witness_mask: Optional[int] = None
     if n > HYPOTHESIS_EXACT_CAP:
-        witness_mask = _structured_boundary_witness(s1.translates, target)
+        witness_mask = _structured_boundary_witness(s1, target)
     if witness_mask is None:
-        witness_mask = boundary_witness(s1.translates, 2, target)
+        witness_mask = boundary_witness(s1, 2, target)
     separable = (
         witness_mask is not None
-        or _separability_witness(s1.translates, 2) is not None
+        or _separability_witness(s1, 2) is not None
     )
     return HypothesisReport(
         holds=witness_mask is not None,
@@ -241,7 +238,7 @@ def detect_geometric_progression(
     long = mask_from_indices(a for a in range(group.order) if group.element_order(a) >= m)
     if not long:
         return None
-    left = s.translates.xs_masks()
+    left = s.xs_masks
     # gS contains 1 exactly when g lies in S^-1.
     for g in bit_indices(s.inverse_set().mask):
         for a in bit_indices(left[g] & long):
@@ -262,19 +259,17 @@ def _is_progression(group: FiniteGroup, t: int, a: int, m: int) -> bool:
     return True
 
 
-def _subgroup_cover(
-    tables: TranslateTables, slack: int
-) -> Optional[tuple[GroupSubset, int]]:
+def _subgroup_cover(s: GroupSubset, slack: int) -> Optional[tuple[GroupSubset, int]]:
     """First proper nontrivial H, with eps, such that |H S^eps| <= |H| + |S| - slack.
 
     S is tried before S^-1 for each H; |H S^-1| = |S H|, so this is also
     the one-sided cover scan "HS before SH".
     """
-    bound = tables.smask.bit_count() - slack
-    sides = ((1, tables), (-1, tables.inverse()))
-    for h in _proper_subgroups(tables.group):
-        for epsilon, tab in sides:
-            if tab.product(h.mask).bit_count() <= len(h) + bound:
+    bound = len(s) - slack
+    sides = ((1, s), (-1, s.inverse_set()))
+    for h in _proper_subgroups(s.group):
+        for epsilon, side in sides:
+            if side.product(h.mask).bit_count() <= len(h) + bound:
                 return h, epsilon
     return None
 
@@ -284,7 +279,7 @@ def find_case_ii_subgroup(
 ) -> Optional[CaseIIWitness]:
     """Smallest proper nontrivial subgroup with |H S^eps| <= |H| + |S| - 1."""
     require_same_group(group, s)
-    found = _subgroup_cover(s.translates, 1)
+    found = _subgroup_cover(s, 1)
     return CaseIIWitness(*found) if found is not None else None
 
 
@@ -305,11 +300,10 @@ def find_case_iii_witness(
     hsize_required = (n + 1 - ssize) // 4
     if hsize_required < 1 or hsize_required * hsize_required > n:
         return None
-    tables = s.translates
-    sides = ((1, tables), (-1, tables.inverse()))
+    sides = ((1, s), (-1, s.inverse_set()))
     for h, a, amask in double_coset_pairs(group, hsize_required):
-        for epsilon, tab in sides:
-            if tab.product(amask).bit_count() == n - amask.bit_count():
+        for epsilon, side in sides:
+            if side.product(amask).bit_count() == n - amask.bit_count():
                 return CaseIIIWitness(subgroup=h, a=a, epsilon=epsilon)
     return None
 
@@ -514,9 +508,9 @@ def verify_mann(group: FiniteGroup, s: GroupSubset) -> MannVerdict:
         hypothesis = len(s1) >= 2
     else:
         hypothesis = (
-            boundary_witness(s1.translates, 1, len(s1) - 2) is not None
+            boundary_witness(s1, 1, len(s1) - 2) is not None
         )
-    found = _subgroup_cover(s1.translates, 2) if hypothesis else None
+    found = _subgroup_cover(s1, 2) if hypothesis else None
     return MannVerdict(
         hypothesis=hypothesis,
         witness_subgroup=found[0] if found else None,
@@ -548,12 +542,10 @@ class TwoCosetVerdict:
     normalized: GroupSubset
 
 
-def _two_coset_conclusion(
-    tables: TranslateTables, hmask: int, amask: int
-) -> list[TranscriptEntry]:
-    group = tables.group
-    hs = tables.product(hmask)
-    as_ = tables.product(amask)
+def _two_coset_conclusion(s: GroupSubset, hmask: int, amask: int) -> list[TranscriptEntry]:
+    group = s.group
+    hs = s.product(hmask)
+    as_ = s.product(amask)
     full = (1 << group.order) - 1
     comp = full & ~hs
     parts = right_coset_decomposition(
@@ -572,13 +564,13 @@ def _two_coset_conclusion(
     return out
 
 
-def _two_coset_fragment_scan(tables: TranslateTables) -> Optional[tuple[int, int]]:
+def _two_coset_fragment_scan(s: GroupSubset) -> Optional[tuple[int, int]]:
     """A subgroup H (|H| >= 2) and a with |HaH| = |H|^2 making H u Ha a
     minimum-boundary candidate: boundary exactly |S| - 1 and remainder >= 2."""
-    n = tables.group.order
-    target = tables.smask.bit_count() - 1
-    for h, a, amask in double_coset_pairs(tables.group):
-        prod = tables.product(amask)
+    n = s.group.order
+    target = len(s) - 1
+    for h, a, amask in double_coset_pairs(s.group):
+        prod = s.product(amask)
         if (
             prod.bit_count() - amask.bit_count() == target
             and n - prod.bit_count() >= 2
@@ -617,7 +609,6 @@ def verify_two_coset_theorem(group: FiniteGroup, s: GroupSubset) -> TwoCosetVerd
         return TwoCosetVerdict(False, None, tuple(pre), (), s1)
 
     target = len(s1) - 1
-    tables = s1.translates
     candidates: list[tuple[int, int]] = []
     if n <= TWO_COSET_EXACT_CAP:
         try:
@@ -627,7 +618,7 @@ def verify_two_coset_theorem(group: FiniteGroup, s: GroupSubset) -> TwoCosetVerd
             return TwoCosetVerdict(False, None, tuple(pre), (), s1)
         kappa2 = rep2.kappa
         status("kappa2_equals_size_minus_1", kappa2 == target, f"kappa_2 = {kappa2}")
-        kappa1_wit = boundary_witness(tables, 1, target - 1)
+        kappa1_wit = boundary_witness(s1, 1, target - 1)
         status(
             "kappa1_equals_size_minus_1",
             kappa1_wit is None,
@@ -638,7 +629,7 @@ def verify_two_coset_theorem(group: FiniteGroup, s: GroupSubset) -> TwoCosetVerd
             n >= 2 * rep2.alpha + kappa2,
             f"|G| = {n}, alpha_2 = {rep2.alpha}, kappa_2 = {kappa2}",
         )
-        frag_subgroup = _subgroup_fragment(tables, kappa2)
+        frag_subgroup = _subgroup_fragment(s1, kappa2)
         status(
             "no_subgroup_fragment",
             frag_subgroup is None,
@@ -657,20 +648,20 @@ def verify_two_coset_theorem(group: FiniteGroup, s: GroupSubset) -> TwoCosetVerd
             f"{len(candidates)} atom(s) of the form H u Ha",
         )
     else:
-        found = _two_coset_fragment_scan(tables)
+        found = _two_coset_fragment_scan(s1)
         status(
             "two_coset_fragment",
             found is not None,
             "a double-coset pair achieves boundary |S| - 1",
         )
-        cover = _subgroup_cover(tables, 2)
+        cover = _subgroup_cover(s1, 2)
         status(
             "kappa1_certificate",
             cover is None,
             "no one-sided subgroup cover within |H| + |S| - 2, so kappa_1 >= |S| - 1",
         )
         if found is not None:
-            frag_subgroup = _subgroup_fragment(tables, target)
+            frag_subgroup = _subgroup_fragment(s1, target)
             status(
                 "no_subgroup_fragment",
                 frag_subgroup is None,
@@ -683,7 +674,7 @@ def verify_two_coset_theorem(group: FiniteGroup, s: GroupSubset) -> TwoCosetVerd
                 n >= 2 * asize + target,
                 f"|G| = {n}, candidate size {asize}, boundary {target}",
             )
-            pair = _pair_boundary_min(tables)
+            pair = _pair_boundary_min(s1)
             status(
                 "no_two_element_fragment",
                 pair is None or pair > target,
@@ -702,7 +693,7 @@ def verify_two_coset_theorem(group: FiniteGroup, s: GroupSubset) -> TwoCosetVerd
     transcript: list[TranscriptEntry] = []
     for hmask, a in candidates:
         amask = hmask | right_coset_mask(group, hmask, a)
-        transcript.extend(_two_coset_conclusion(tables, hmask, amask))
+        transcript.extend(_two_coset_conclusion(s1, hmask, amask))
     return TwoCosetVerdict(
         applicable=True,
         holds=all(e.passed for e in transcript),
@@ -712,16 +703,16 @@ def verify_two_coset_theorem(group: FiniteGroup, s: GroupSubset) -> TwoCosetVerd
     )
 
 
-def _subgroup_fragment(tables: TranslateTables, kappa: int) -> Optional[int]:
-    n = tables.group.order
-    for h in _proper_subgroups(tables.group):
-        prod = tables.product(h.mask)
+def _subgroup_fragment(s: GroupSubset, kappa: int) -> Optional[int]:
+    n = s.group.order
+    for h in _proper_subgroups(s.group):
+        prod = s.product(h.mask)
         if prod.bit_count() <= n - 2 and prod.bit_count() - len(h) == kappa:
             return h.mask
     return None
 
 
-def _pair_boundary_min(tables: TranslateTables) -> Optional[int]:
-    n = tables.group.order
-    sizes = (tables.product(1 << IDENTITY | 1 << g).bit_count() for g in range(1, n))
+def _pair_boundary_min(s: GroupSubset) -> Optional[int]:
+    n = s.group.order
+    sizes = (s.product(1 << IDENTITY | 1 << g).bit_count() for g in range(1, n))
     return min((size - 2 for size in sizes if size <= n - 2), default=None)

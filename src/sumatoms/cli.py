@@ -24,17 +24,7 @@ from .digraphs import (
     is_antisymmetric,
     verify_translation_transitivity,
 )
-from .errors import (
-    EngineMismatchError,
-    NotGeneratingError,
-    NotSeparableError,
-    OracleCapError,
-    ParseError,
-    PreconditionError,
-    SizeCapError,
-    SumatomsError,
-    ValidationError,
-)
+from .errors import EngineMismatchError, ParseError, PreconditionError, SumatomsError
 from .family import build_example, classify_example, sophie_germain_scan, verify_example
 from .groups import (
     DEFAULT_ORDER_CAP,
@@ -383,13 +373,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except EngineMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_MISMATCH
-    except (NotSeparableError, NotGeneratingError, PreconditionError) as exc:
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_SEPARABLE
-    except (ParseError, ValidationError, SizeCapError, OracleCapError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SumatomsError as exc:
+    except (SumatomsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -25,10 +25,10 @@ from .groups import (
     GroupSubset,
     double_coset_mask,
     make_semidirect,
+    product_mask,
     right_coset_mask,
     _is_prime,
 )
-from .sumsets import product_mask
 
 
 @dataclass(frozen=True)

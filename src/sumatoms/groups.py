@@ -13,7 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -25,9 +25,6 @@ from .errors import (
     SizeCapError,
     ValidationError,
 )
-
-if TYPE_CHECKING:
-    from .sumsets import TranslateTables
 
 DEFAULT_ORDER_CAP = 2048
 IDENTITY = 0
@@ -174,12 +171,6 @@ class FiniteGroup:
         self._abelian: Optional[bool] = None
         self._subgroups: Optional[list["GroupSubset"]] = None
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def label(self, a: int) -> str:
         if self.labels is None:
             return str(a)
@@ -288,9 +279,17 @@ class GroupSubset:
         return self.mask & ~other.mask == 0
 
     def inverse_set(self) -> "GroupSubset":
-        """Elementwise inverses {x^-1 : x in X}."""
-        inv = self.group.inverse
-        return GroupSubset(self.group, permute_mask(self.mask, inv))
+        """Elementwise inverses {x^-1 : x in X}, built once per set object.
+
+        ``self`` when X = X^-1; otherwise a set whose own inverse is this one.
+        """
+        inv = self.__dict__.get("_inverse")
+        if inv is None:
+            mask = permute_mask(self.mask, self.group.inverse)
+            inv = self if mask == self.mask else GroupSubset(self.group, mask)
+            self.__dict__["_inverse"] = inv
+            inv.__dict__["_inverse"] = self
+        return inv
 
     def left_translate(self, g: int) -> "GroupSubset":
         """g*X."""
@@ -300,15 +299,37 @@ class GroupSubset:
         """X*g."""
         return GroupSubset(self.group, permute_mask(self.mask, self.group.column(g)))
 
+    # The translate masks below are built once per set object.  They are not
+    # fields: equality, hashing and repr ignore them.
+
     @cached_property
-    def translates(self) -> TranslateTables:
-        """The translate tables of this set, built once per set object.
+    def xs_masks(self) -> list[int]:
+        """``xs_masks[x]`` is the mask of x*S."""
+        table = self.group.table
+        return [permute_mask(self.mask, table[x]) for x in range(self.group.order)]
 
-        Not a field: equality, hashing and repr ignore it.
+    @cached_property
+    def neighbor_masks(self) -> list[int]:
+        """``neighbor_masks[x]`` is the mask of x*(S*S^-1) without x.
+
+        This is the adjacency of the connected fragment search: two elements
+        whose product sets overlap are neighbors.
         """
-        from .sumsets import TranslateTables
+        shared = product_mask(self.group, self.mask, self.inverse_set().mask)
+        table = self.group.table
+        return [permute_mask(shared, table[x]) & ~(1 << x) for x in range(self.group.order)]
 
-        return TranslateTables(self.group, self.mask)
+    def product(self, ymask: int) -> int:
+        """Mask of Y*S, the union of the translates y*S for y in Y.
+
+        Pays for n translates once per set; a one-off product is cheaper with
+        :func:`product_mask`.
+        """
+        xs = self.xs_masks
+        out = 0
+        for y in bit_indices(ymask):
+            out |= xs[y]
+        return out
 
     def is_subgroup(self) -> bool:
         if not self.mask & 1:
@@ -327,6 +348,15 @@ def require_same_group(group: FiniteGroup, *subsets: GroupSubset) -> FiniteGroup
     if any(s.group is not group for s in subsets):
         raise GroupMismatchError("operands belong to different groups")
     return group
+
+
+def product_mask(group: FiniteGroup, xmask: int, ymask: int) -> int:
+    """Bitmask of {x*y : x in X, y in Y}."""
+    table = group.table
+    out = 0
+    for x in bit_indices(xmask):
+        out |= permute_mask(ymask, table[x])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +599,7 @@ def right_coset_mask(group: FiniteGroup, hmask: int, x: int) -> int:
 
 def double_coset_mask(group: FiniteGroup, hmask: int, a: int) -> int:
     """Bitmask of H*a*H."""
-    ha = right_coset_mask(group, hmask, a)
-    out = 0
-    for x in bit_indices(ha):
-        out |= permute_mask(hmask, group.table[x])
-    return out
+    return product_mask(group, right_coset_mask(group, hmask, a), hmask)
 
 
 def double_coset_pairs(

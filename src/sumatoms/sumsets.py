@@ -18,14 +18,21 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .bitset import bit_indices, indices_tuple, mask_from_indices, permute_mask
+from .bitset import indices_tuple, mask_from_indices, permute_mask
 from .errors import (
     NotGeneratingError,
     NotSeparableError,
     OracleCapError,
     PreconditionError,
 )
-from .groups import IDENTITY, FiniteGroup, GroupSubset, closure_mask, require_same_group
+from .groups import (
+    IDENTITY,
+    FiniteGroup,
+    GroupSubset,
+    closure_mask,
+    product_mask,
+    require_same_group,
+)
 
 DEFAULT_ATOM_CAP = 256
 FRAGMENT_COUNT_EXACT_CAP = 20
@@ -72,15 +79,6 @@ class NormalizeReport:
 # Elementary set arithmetic
 
 
-def product_mask(group: FiniteGroup, xmask: int, ymask: int) -> int:
-    """Bitmask of {x*y : x in X, y in Y}."""
-    table = group.table
-    out = 0
-    for x in bit_indices(xmask):
-        out |= permute_mask(ymask, table[x])
-    return out
-
-
 def product_set(x: GroupSubset, y: GroupSubset) -> GroupSubset:
     group = require_same_group(x.group, y)
     return GroupSubset(group, product_mask(group, x.mask, y.mask))
@@ -108,85 +106,23 @@ def remainder(s: GroupSubset, x: GroupSubset) -> GroupSubset:
     return GroupSubset(group, full & ~(x.mask | xs))
 
 
-class TranslateTables:
-    """Lazy per-element translate masks for one (group, set) pair.
-
-    ``xs_masks()[x]`` is the mask of x*S and ``neighbor_masks()[x]`` the mask
-    of x*(S*S^-1) without x, the adjacency used by the connected fragment
-    search: two elements whose product sets overlap are neighbors.
-    :meth:`product` pays for n translates once; a one-off product is cheaper
-    with :func:`product_mask`.  The tables of a set are owned by the set:
-    ``GroupSubset.translates`` builds them once per set object, and
-    :meth:`inverse` builds those of S^-1 once per table.
-    """
-
-    __slots__ = ("group", "smask", "_xs", "_nbr", "_sinv_mask", "_inv")
-
-    def __init__(self, group: FiniteGroup, smask: int) -> None:
-        self.group = group
-        self.smask = smask
-        self._xs: Optional[list[int]] = None
-        self._nbr: Optional[list[int]] = None
-        self._sinv_mask: Optional[int] = None
-        self._inv: Optional[TranslateTables] = None
-
-    @property
-    def sinv_mask(self) -> int:
-        if self._sinv_mask is None:
-            self._sinv_mask = permute_mask(self.smask, self.group.inverse)
-        return self._sinv_mask
-
-    def inverse(self) -> "TranslateTables":
-        """The tables of S^-1, built on first use; ``self`` when S = S^-1."""
-        if self.sinv_mask == self.smask:
-            return self
-        if self._inv is None:
-            self._inv = TranslateTables(self.group, self.sinv_mask)
-        return self._inv
-
-    def xs_masks(self) -> list[int]:
-        if self._xs is None:
-            table = self.group.table
-            smask = self.smask
-            self._xs = [permute_mask(smask, table[x]) for x in range(self.group.order)]
-        return self._xs
-
-    def product(self, xmask: int) -> int:
-        """Mask of X*S, the union of the translates x*S for x in X."""
-        xs = self.xs_masks()
-        out = 0
-        for x in bit_indices(xmask):
-            out |= xs[x]
-        return out
-
-    def neighbor_masks(self) -> list[int]:
-        if self._nbr is None:
-            shared = product_mask(self.group, self.smask, self.sinv_mask)
-            table = self.group.table
-            self._nbr = [
-                permute_mask(shared, table[x]) & ~(1 << x)
-                for x in range(self.group.order)
-            ]
-        return self._nbr
-
-
 # ---------------------------------------------------------------------------
 # Separability
 
 
-def _separability_witness(tables: TranslateTables, k: int) -> Optional[int]:
+def _separability_witness(s: GroupSubset, k: int) -> Optional[int]:
     """A mask X containing the identity with |X| = k and |X*| >= k, or None.
 
     Product masks grow with X, so size-k candidates decide separability, and
     every candidate class has a representative containing the identity.
     """
-    n = tables.group.order
+    n = s.group.order
     if k < 1:
         raise PreconditionError(f"k must be positive, got {k}")
     if 2 * k > n:
         return None
     full = (1 << n) - 1
-    xs = tables.xs_masks()
+    xs = s.xs_masks
     base = 1 << IDENTITY
     base_xs = xs[IDENTITY]
     for combo in combinations(range(1, n), k - 1):
@@ -201,7 +137,7 @@ def _separability_witness(tables: TranslateTables, k: int) -> Optional[int]:
 
 def is_k_separable(s: GroupSubset, k: int) -> bool:
     """Whether some X has |X| >= k and remainder of size >= k."""
-    return _separability_witness(s.translates, k) is not None
+    return _separability_witness(s, k) is not None
 
 
 def _require_generating(group: FiniteGroup, smask: int) -> None:
@@ -228,7 +164,7 @@ def _require_generating(group: FiniteGroup, smask: int) -> None:
 
 
 def _admissible_sets(
-    tables: TranslateTables, k: int, target: Optional[int] = None
+    s: GroupSubset, k: int, target: Optional[int] = None
 ) -> Iterator[tuple[int, int, int]]:
     """Yield (X, |X|, boundary size) for admissible X containing 1.
 
@@ -243,11 +179,11 @@ def _admissible_sets(
     yielded before it, whichever is smaller.  So every minimizer and the
     first X with boundary <= ``target`` are yielded.
     """
-    n = tables.group.order
+    n = s.group.order
     limit = n - k
     bound = n if target is None else target
-    xs = tables.xs_masks()
-    nbr = tables.neighbor_masks() if k <= 2 else [(1 << n) - 1] * n
+    xs = s.xs_masks
+    nbr = s.neighbor_masks if k <= 2 else [(1 << n) - 1] * n
     seed = 1 << IDENTITY
     seed_u = xs[IDENTITY]
     if seed_u.bit_count() > limit:
@@ -288,15 +224,15 @@ def _admissible_sets(
         x, u, frontier, cands, ban = pop()
 
 
-def boundary_witness(tables: TranslateTables, k: int, target: int) -> Optional[int]:
+def boundary_witness(s: GroupSubset, k: int, target: int) -> Optional[int]:
     """A mask X (1 in X, |X| >= k, |X*| >= k) with boundary <= target, or None.
 
     Complete decision via the same search as the atom computation, stopping
     at the first witness.
     """
-    if target < 0 or 2 * k > tables.group.order:
+    if target < 0 or 2 * k > s.group.order:
         return None
-    return next((x for x, _, _ in _admissible_sets(tables, k, target)), None)
+    return next((x for x, _, _ in _admissible_sets(s, k, target)), None)
 
 
 @dataclass(frozen=True)
@@ -374,7 +310,7 @@ def _checked_input(s: GroupSubset, k: int) -> None:
 def _walk_report(s: GroupSubset, k: int, atom_cap: int) -> tuple[FragmentReport, _Tally]:
     """The pruned search's report for (S, k), with the tally it was read from."""
     _checked_input(s, k)
-    tally = _tally(_admissible_sets(s.translates, k), k, atom_cap)
+    tally = _tally(_admissible_sets(s, k), k, atom_cap)
     return _fragment_report(s.group, k, tally, atom_cap, oracle_used=False), tally
 
 
@@ -433,13 +369,26 @@ def _block_patterns(bits: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return order, bounds
 
 
+def _pattern_unions(rows: np.ndarray) -> np.ndarray:
+    """``out[..., p]`` is the OR of ``rows[..., j]`` over the bits j of p.
+
+    The last axis of ``rows`` has m entries and that of ``out`` 2^m; the table
+    is built by doubling, one row per step.
+    """
+    m = rows.shape[-1]
+    out = np.zeros(rows.shape[:-1] + (1 << m,), dtype=rows.dtype)
+    for j in range(m):
+        np.bitwise_or(out[..., : 1 << j], rows[..., j : j + 1], out=out[..., 1 << j : 2 << j])
+    return out
+
+
 def _block_layout(n: int) -> tuple[int, np.ndarray, tuple[int, ...]]:
     """The lowest block element of an order-n group, and the block's patterns."""
     bits = min(_BLOCK_BITS, n - 1)
     return (n - bits, *_block_patterns(bits))
 
 
-def _exhaustive_blocks(tables: TranslateTables) -> Iterator[tuple[int, list[int], np.ndarray]]:
+def _exhaustive_blocks(s: GroupSubset) -> Iterator[tuple[int, list[int], np.ndarray]]:
     """Every subset X containing 1, one block at a time.
 
     Yields (low, least, usize).  ``low`` is the part of X below the block,
@@ -448,15 +397,10 @@ def _exhaustive_blocks(tables: TranslateTables) -> Iterator[tuple[int, list[int]
     patterns of t elements.  ``usize`` is overwritten by the next block.
     Within each size |X| the subsets come in indices_tuple order.
     """
-    n = tables.group.order
-    xs = tables.xs_masks()
+    n = s.group.order
+    xs = s.xs_masks
     first, order, bounds = _block_layout(n)
-    block = np.zeros(len(order), dtype=np.uint64)
-    h = 1
-    for c in range(first, n):
-        np.bitwise_or(block[:h], np.uint64(xs[c]), out=block[h : 2 * h])
-        h *= 2
-    block = block[order]
+    block = _pattern_unions(np.array(xs[first:], dtype=np.uint64))[order]
     u = np.empty_like(block)
     usize = np.empty(len(block), dtype=np.uint8)
     below = first - 1
@@ -473,19 +417,19 @@ def _exhaustive_blocks(tables: TranslateTables) -> Iterator[tuple[int, list[int]
         yield low, np.minimum.reduceat(usize, bounds[:-1]).tolist(), usize
 
 
-def _exhaustive_tally(tables: TranslateTables, k: int, atom_cap: int) -> _Tally:
+def _exhaustive_tally(s: GroupSubset, k: int, atom_cap: int) -> _Tally:
     """The :func:`_tally` of the admissible sets, found among every subset containing 1.
 
     Counts and achievers are kept only while a size's least boundary is the
     least of all sizes so far, which the fragment sizes' always is.
     """
-    limit = tables.group.order - k
-    first, order, bounds = _block_layout(tables.group.order)
+    limit = s.group.order - k
+    first, order, bounds = _block_layout(s.group.order)
     best_by_size: dict[int, int] = {}
     achievers: dict[int, list[int]] = {}
     counts: dict[int, int] = {}
     kappa = limit  # above every admissible boundary
-    for low, least, usize in _exhaustive_blocks(tables):
+    for low, least, usize in _exhaustive_blocks(s):
         base = low.bit_count()
         for t, u in enumerate(least):
             size = base + t
@@ -514,14 +458,14 @@ def _exhaustive_tally(tables: TranslateTables, k: int, atom_cap: int) -> _Tally:
     return _Tally(kappa, best_by_size, achievers, counts)
 
 
-def _exhaustive_boundary_within(tables: TranslateTables, k: int, target: int) -> bool:
+def _exhaustive_boundary_within(s: GroupSubset, k: int, target: int) -> bool:
     """Whether an admissible X containing 1 has boundary at most ``target``.
 
     Decided over every subset containing 1, independently of
     :func:`boundary_witness`.
     """
-    limit = tables.group.order - k
-    for low, least, _ in _exhaustive_blocks(tables):
+    limit = s.group.order - k
+    for low, least, _ in _exhaustive_blocks(s):
         base = low.bit_count()
         for t, u in enumerate(least):
             if base + t >= k and u <= limit and u - (base + t) <= target:
@@ -553,7 +497,7 @@ def oracle_atoms(
         raise OracleCapError(
             f"group order {group.order} exceeds oracle cap {order_cap}"
         )
-    tally = _exhaustive_tally(s.translates, k, atom_cap)
+    tally = _exhaustive_tally(s, k, atom_cap)
     return _fragment_report(group, k, tally, atom_cap, oracle_used=True)
 
 

@@ -59,6 +59,7 @@ from .sumsets import (
     _exhaustive_boundary_within,
     _left_translates,
     _overlapping_pair,
+    _pattern_unions,
     _separability_witness,
     _walk_report,
     atom_translates,
@@ -153,11 +154,7 @@ def _subset_classes(group: FiniteGroup, generating: bool) -> Iterator[tuple[int,
     bits[:, :n] = np.uint64(1) << np.asarray(group.table, dtype=np.uint64)[:, group.inverse].T
     bits = bits.reshape(n, nbytes, 8)
     # images[s, j, b] = image under x -> x*s^-1 of the set whose mask is b << 8j
-    images = np.zeros((n, nbytes, 256), dtype=np.uint64)
-    for i in range(8):
-        np.bitwise_or(
-            images[:, :, : 1 << i], bits[:, :, i : i + 1], out=images[:, :, 1 << i : 2 << i]
-        )
+    images = _pattern_unions(bits)
     for masks in _mask_blocks(group, generating):
         slices = [
             (masks >> np.uint64(8 * j) & np.uint64(0xFF)).astype(np.intp) for j in range(nbytes)
@@ -283,7 +280,7 @@ def _oracle_group(spec: GroupSpec) -> OracleRow:
     mismatches: list[str] = []
     for smask in _generating_masks(group):
         subset = GroupSubset(group, smask)
-        if _separability_witness(subset.translates, 2) is None:
+        if _separability_witness(subset, 2) is None:
             continue
         fast = find_atoms(subset, 2)
         slow = oracle_atoms(subset, 2)
@@ -331,7 +328,7 @@ def sweep_oracle_random(
         if not all(smask & miss for miss in misses[spec.name]):
             continue
         subset = GroupSubset(group, smask)
-        if _separability_witness(subset.translates, k) is None:
+        if _separability_witness(subset, k) is None:
             continue
         produced += 1
         fast = find_atoms(subset, k)
@@ -360,7 +357,7 @@ def _t_enumeration(group: FiniteGroup, smask: int) -> bool:
     # translated to contain the identity.  The oracle's scan visits every
     # such T with TS != G, whose boundary is |TS| - |T|.
     s = GroupSubset(group, smask)
-    return _exhaustive_boundary_within(s.translates, 1, len(s) - 2)
+    return _exhaustive_boundary_within(s, 1, len(s) - 2)
 
 
 def _mann_group(spec: GroupSpec) -> MannRow:
@@ -428,7 +425,7 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
         subset = GroupSubset(group, smask)
         name = f"{spec.name} S={subset.to_literal()}"
         sinv = subset.inverse_set()
-        two_separable = _separability_witness(subset.translates, 2) is not None
+        two_separable = _separability_witness(subset, 2) is not None
         if two_separable:
             rep, tally = _walk_report(subset, 2, DEFAULT_ATOM_CAP)
             rep_inv = find_atoms(sinv, 2)
@@ -446,7 +443,7 @@ def _intersection_group(spec: GroupSpec) -> IntersectionRow:
                 frag_masks = _left_translates(group, tally.fragment_masks())
                 if any(_straddles(atom.mask, frag_masks, 2) for atom in rep.atoms):
                     failures.append(f"atom/fragment overlap: {name}")
-        if _separability_witness(subset.translates, 1) is not None:
+        if _separability_witness(subset, 1) is not None:
             rep1, tally1 = _walk_report(subset, 1, DEFAULT_ATOM_CAP)
             rep1_inv = find_atoms(sinv, 1)
             if rep1.alpha <= rep1_inv.alpha:

@@ -129,7 +129,7 @@ def test_hypothesis_matches_exact_kappa():
         if closure_mask(group, s.indices()) != (1 << n) - 1:
             continue
         rep = hypothesis_holds(group, s)
-        if _separability_witness(s.translates, 2) is None:
+        if _separability_witness(s, 2) is None:
             assert not rep.holds
             continue
         kappa = oracle_atoms(s, 2).kappa
@@ -154,14 +154,14 @@ def test_structured_witness_below_the_exact_cap():
         s0 = GroupSubset.from_indices(group, [0] + rng.sample(range(1, n), size - 1))
         for s in (s0, s0.inverse_set()):
             target = len(s) - 1
-            x = _structured_boundary_witness(s.translates, target)
+            x = _structured_boundary_witness(s, target)
             if x is not None:
                 found += 1
                 prod = product_mask(group, x, s.mask)
                 assert x.bit_count() >= 2
                 assert prod.bit_count() <= n - 2
                 assert (prod & ~x).bit_count() <= target
-                assert boundary_witness(s.translates, 2, target) is not None
+                assert boundary_witness(s, 2, target) is not None
             literal = None
             for h in enumerate_subgroups(group):
                 if not 2 <= len(h) < n:
@@ -201,25 +201,15 @@ def test_violation_branch_when_no_case_fits(monkeypatch):
         assert main(["classify", "--cyclic", "7", "--set", "0 1 2"]) == 4
 
 
-def test_scans_share_one_table_per_side(monkeypatch):
-    # Every scan of one call reads the tables of the normalized set and of
+def test_scans_share_one_set_of_masks_per_side(xs_builds):
+    # Every scan of one call reads the masks of the normalized set and of
     # its inverse, so a call builds at most two.
-    sumsets = sys.modules["sumatoms.sumsets"]
-    xs_masks = sumsets.TranslateTables.xs_masks
-    built = []
-
-    def counting(self):
-        if self._xs is None:
-            built.append(self.smask)
-        return xs_masks(self)
-
-    monkeypatch.setattr(sumsets.TranslateTables, "xs_masks", counting)
     for p, q in ((11, 5), (23, 11)):
         inst = build_example(p, q)
         for check in (classify, verify_two_coset_theorem):
-            built.clear()
+            xs_builds.clear()
             check(inst.group, GroupSubset(inst.group, inst.subset.mask))
-            assert 1 <= len(built) <= 2, (p, q, check.__name__, len(built))
+            assert 1 <= len(xs_builds) <= 2, (p, q, check.__name__, len(xs_builds))
 
 
 # ---------------------------------------------------------------------------

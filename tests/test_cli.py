@@ -5,7 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from sumatoms import digraphs
+from sumatoms import cli, digraphs, errors
 from sumatoms.cli import build_parser, main
 
 
@@ -308,3 +308,43 @@ def test_oracle_refuses_groups_above_64_elements(capsys):
     code, out = run_cli(*shlex.split(argv))
     assert code == 1 and out == ""
     assert "limit of 64 elements" in capsys.readouterr().err
+
+
+_EXIT_CODES = {
+    errors.EngineMismatchError: 2,
+    errors.PreconditionError: 3,
+    errors.NotSeparableError: 3,
+    errors.NotGeneratingError: 3,
+    errors.SumatomsError: 1,
+    errors.ParseError: 1,
+    errors.ValidationError: 1,
+    errors.SizeCapError: 1,
+    errors.OracleCapError: 1,
+    errors.GroupMismatchError: 1,
+    errors.GraphError: 1,
+    errors.DisconnectedGraphError: 1,
+    errors.GraphTooLargeError: 1,
+    OSError: 1,
+    FileNotFoundError: 1,
+}
+
+
+def test_exit_code_table_covers_every_error_class():
+    declared = {
+        obj
+        for obj in vars(errors).values()
+        if isinstance(obj, type) and issubclass(obj, errors.SumatomsError)
+    }
+    assert declared <= set(_EXIT_CODES)
+
+
+@pytest.mark.parametrize(
+    "exc, code", list(_EXIT_CODES.items()), ids=lambda v: getattr(v, "__name__", str(v))
+)
+def test_each_error_class_maps_to_its_exit_code(exc, code, monkeypatch, capsys):
+    def raising(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "cmd_group", raising)
+    assert run_cli("group", "--cyclic", "3") == (code, "")
+    assert capsys.readouterr().err == "error: boom\n"

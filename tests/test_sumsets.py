@@ -29,7 +29,6 @@ from sumatoms.bitset import indices_tuple
 from sumatoms.catalog import build_group, catalog_specs
 from sumatoms.groups import IDENTITY, closure_mask
 from sumatoms.sumsets import (
-    TranslateTables,
     _fragment_report,
     _overlapping_pair,
     _separability_witness,
@@ -64,11 +63,10 @@ def test_product_set_examples():
     assert product_set(inst.pair, inst.subset).mask == inst.pair.complement().mask
 
 
-def test_translate_tables_inverse():
+def test_inverse_set_is_built_once_and_round_trips():
     inst = build_example(7, 3)
     for s in (inst.subgroup, inst.subset):
-        assert s.inverse_set() == s
-        assert s.translates.inverse() is s.translates
+        assert s.inverse_set() is s
     rng = random.Random(61)
     specs = catalog_specs(12)
     asymmetric = 0
@@ -76,17 +74,19 @@ def test_translate_tables_inverse():
         group = build_group(specs[rng.randrange(len(specs))])
         n = group.order
         s = GroupSubset.from_indices(group, rng.sample(range(n), rng.randint(1, n)))
-        tables = s.translates
-        assert s.translates is tables
-        inv = tables.inverse()
-        sinv = s.inverse_set().mask
-        assert inv.smask == sinv and tables.inverse() is inv
-        assert (inv is tables) == (sinv == s.mask)
-        asymmetric += inv is not tables
+        xs = s.xs_masks
+        assert s.xs_masks is xs
+        inv = s.inverse_set()
+        sinv = GroupSubset.from_indices(group, (group.inverse[x] for x in s))
+        assert inv == sinv and s.inverse_set() is inv
+        assert inv.inverse_set() is s
+        assert (inv is s) == (sinv.mask == s.mask)
+        asymmetric += inv is not s
         for _ in range(5):
             x = rng.getrandbits(n)
-            assert inv.product(x) == product_mask(group, x, sinv)
-        # the tables are not a field
+            assert s.product(x) == product_mask(group, x, s.mask)
+            assert inv.product(x) == product_mask(group, x, sinv.mask)
+        # the translate masks and the inverse are not fields
         copy = GroupSubset(group, s.mask)
         assert copy == s and hash(copy) == hash(s) and repr(copy) == repr(s)
     assert asymmetric > 20
@@ -114,31 +114,23 @@ def test_separability():
     assert not is_k_separable(subset(g7, 0, 1, 3), 3)
 
 
-def test_a_set_builds_its_translate_tables_once(monkeypatch):
+def test_a_set_builds_its_translate_masks_once(xs_builds):
     # The walk, the separability scan and the oracle's block scan all read
-    # the tables the set owns.
+    # the masks the set owns.
     from sumatoms.classify import hypothesis_holds
 
-    built = []
-    init = TranslateTables.__init__
-
-    def counting(self, group, smask):
-        built.append(smask)
-        init(self, group, smask)
-
-    monkeypatch.setattr(TranslateTables, "__init__", counting)
     s = subset(make_cyclic(12), 0, 1, 5)
     for call in (find_atoms, find_fragments, oracle_atoms, is_k_separable):
         call(s, 2)
-    assert built == [s.mask]
+    assert xs_builds == [s.mask]
     # kappa_2 of {0, 1, 3} in C7 is 3 > |S| - 1: the walk finds no witness,
-    # and the separability fallback reuses its table.
+    # and the separability fallback reuses its masks.
     g7 = make_cyclic(7)
     t = subset(g7, 0, 1, 3)
-    built.clear()
+    xs_builds.clear()
     report = hypothesis_holds(g7, t)
     assert not report.holds and report.two_separable
-    assert built == [t.mask]
+    assert xs_builds == [t.mask]
 
 
 def test_nonpositive_k_is_a_precondition():
@@ -228,7 +220,7 @@ def test_oracle_agreement_random():
         group = build_group(spec)
         s = random_generating_set(rng, group)
         for k in (1, 2, 3):
-            if _separability_witness(s.translates, k) is None:
+            if _separability_witness(s, k) is None:
                 continue
             assert find_atoms(s, k).same_result(oracle_atoms(s, k))
 
@@ -243,11 +235,11 @@ def test_boundary_witness_matches_oracle_kappa():
         group = build_group(spec)
         s = random_generating_set(rng, group)
         for k in (1, 2, 3):
-            if _separability_witness(s.translates, k) is None:
+            if _separability_witness(s, k) is None:
                 continue
             kappa = oracle_atoms(s, k).kappa
-            assert boundary_witness(s.translates, k, kappa - 1) is None
-            witness = boundary_witness(s.translates, k, kappa)
+            assert boundary_witness(s, k, kappa - 1) is None
+            witness = boundary_witness(s, k, kappa)
             assert witness is not None
             x = GroupSubset(group, witness)
             assert 0 in x and len(x) >= k
@@ -263,7 +255,7 @@ def test_deep_searches_leave_recursion_limit_alone():
     limit = sys.getrecursionlimit()
     n = 2048
     c2048 = make_cyclic(n)
-    x = boundary_witness(TranslateTables(c2048, 0b11), n // 2 - 1, 1)
+    x = boundary_witness(GroupSubset(c2048, 0b11), n // 2 - 1, 1)
     assert x is not None and x.bit_count() == n // 2 - 1
     assert sys.getrecursionlimit() == limit
     rep = find_atoms(subset(make_cyclic(300), 0, 1), 1)
@@ -281,9 +273,9 @@ def test_kappa_inversion_invariance():
         s = random_generating_set(rng, group)
         sinv = s.inverse_set()
         for k in (1, 2):
-            if _separability_witness(s.translates, k) is None:
+            if _separability_witness(s, k) is None:
                 continue
-            assert _separability_witness(sinv.translates, k) is not None
+            assert _separability_witness(sinv, k) is not None
             assert isoperimetric_number(s, k) == isoperimetric_number(sinv, k)
 
 
@@ -296,7 +288,7 @@ def test_right_translate_preserves_atoms():
         spec = specs[rng.randrange(len(specs))]
         group = build_group(spec)
         s = random_generating_set(rng, group)
-        if _separability_witness(s.translates, 2) is None:
+        if _separability_witness(s, 2) is None:
             continue
         rep = find_atoms(s, 2)
         for elem in s.inverse_set():
@@ -320,7 +312,7 @@ def test_remainder_fragment_duality():
         group = build_group(spec)
         s = random_generating_set(rng, group)
         for k in (1, 2):
-            if _separability_witness(s.translates, k) is None:
+            if _separability_witness(s, k) is None:
                 continue
             sinv = s.inverse_set()
             kappa_inv = isoperimetric_number(sinv, k)
@@ -341,7 +333,7 @@ def test_kappa_monotone_in_k():
         spec = specs[rng.randrange(len(specs))]
         group = build_group(spec)
         s = random_generating_set(rng, group)
-        if _separability_witness(s.translates, 2) is None:
+        if _separability_witness(s, 2) is None:
             continue
         k1 = isoperimetric_number(s, 1)
         k2 = isoperimetric_number(s, 2)
@@ -402,7 +394,7 @@ def test_atoms_listed_lexicographically():
     for _ in range(20):
         group = build_group(specs[rng.randrange(len(specs))])
         s = random_generating_set(rng, group)
-        if _separability_witness(s.translates, 2) is None:
+        if _separability_witness(s, 2) is None:
             continue
         rep = find_atoms(s, 2)
         keys = [a.indices() for a in rep.atoms]
@@ -433,7 +425,7 @@ def _nonperiodic_atom_instances():
                 continue
             if closure_mask(group, indices_tuple(smask)) != full:
                 continue
-            if _separability_witness(TranslateTables(group, smask), 2) is None:
+            if _separability_witness(GroupSubset(group, smask), 2) is None:
                 continue
             s = GroupSubset(group, smask)
             rep = find_atoms(s, 2)
@@ -492,7 +484,7 @@ def test_left_translates_of_atoms_are_atoms():
         spec = specs[rng.randrange(len(specs))]
         group = build_group(spec)
         s = random_generating_set(rng, group)
-        if _separability_witness(s.translates, 2) is None:
+        if _separability_witness(s, 2) is None:
             continue
         rep = find_atoms(s, 2)
         for atom in rep.atoms:
@@ -512,7 +504,7 @@ def test_periodic_atom_translate_bound():
         spec = specs[rng.randrange(len(specs))]
         group = build_group(spec)
         s = random_generating_set(rng, group, min_size=3)
-        if _separability_witness(s.translates, 2) is None:
+        if _separability_witness(s, 2) is None:
             continue
         rep = find_atoms(s, 2)
         if group.order < 2 * rep.alpha + rep.kappa:
@@ -536,7 +528,7 @@ def test_fragment_count_matches_oracle():
         group = build_group(spec)
         s = random_generating_set(rng, group)
         for k in (1, 2):
-            if _separability_witness(s.translates, k) is None:
+            if _separability_witness(s, k) is None:
                 continue
             fast = find_atoms(s, k)
             slow = oracle_atoms(s, k)
@@ -553,7 +545,7 @@ def every_admissible_set(group, smask, k):
     per subset, in lexicographic order of the sorted index tuples."""
     n = group.order
     limit = n - k
-    xs = TranslateTables(group, smask).xs_masks()
+    xs = GroupSubset(group, smask).xs_masks
     seed = 1 << IDENTITY
     seed_u = xs[IDENTITY]
     if k <= 1 and seed_u.bit_count() <= limit:
@@ -647,9 +639,9 @@ def unbounded_admissible_sets(group, smask, k):
     k <= 2, in the order of the pruned search with no bound on the boundary."""
     n = group.order
     limit = n - k
-    tables = TranslateTables(group, smask)
-    xs = tables.xs_masks()
-    nbr = tables.neighbor_masks() if k <= 2 else [(1 << n) - 1] * n
+    s = GroupSubset(group, smask)
+    xs = s.xs_masks
+    nbr = s.neighbor_masks if k <= 2 else [(1 << n) - 1] * n
     seed = 1 << IDENTITY
     seed_u = xs[IDENTITY]
     if seed_u.bit_count() > limit:
@@ -695,7 +687,7 @@ def assert_search_matches_unbounded_walk(s, k):
             find_atoms(s, k)
         with pytest.raises(NotSeparableError):
             find_fragments(s, k)
-        assert boundary_witness(s.translates, k, group.order) is None
+        assert boundary_witness(s, k, group.order) is None
         return None
     reports = []
     for atom_cap in (1, 3, 256):
@@ -705,7 +697,7 @@ def assert_search_matches_unbounded_walk(s, k):
     assert [f.mask for f in find_fragments(s, k)] == tally.fragment_masks()
     for target in (tally.kappa - 1, tally.kappa, tally.kappa + 1):
         first = next((x for x, _, b in walk if b <= target), None)
-        assert boundary_witness(s.translates, k, target) == first
+        assert boundary_witness(s, k, target) == first
     return reports
 
 
