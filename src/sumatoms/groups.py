@@ -10,6 +10,7 @@ has to doubt a table.  Subsets of a group are immutable bitmasks wrapped in
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -281,14 +282,22 @@ class GroupSubset:
     def inverse_set(self) -> "GroupSubset":
         """Elementwise inverses {x^-1 : x in X}, built once per set object.
 
-        ``self`` when X = X^-1; otherwise a set whose own inverse is this one.
+        ``self`` when X = X^-1; otherwise a set whose own inverse is this one
+        while this one lives.  The set holds its inverse, and the inverse
+        links back weakly (as a symmetric set links to itself), so neither
+        forms a reference cycle.
         """
-        inv = self.__dict__.get("_inverse")
+        link = self.__dict__.get("_inverse")
+        inv = link() if isinstance(link, weakref.ref) else link
         if inv is None:
             mask = permute_mask(self.mask, self.group.inverse)
-            inv = self if mask == self.mask else GroupSubset(self.group, mask)
-            self.__dict__["_inverse"] = inv
-            inv.__dict__["_inverse"] = self
+            if mask == self.mask:
+                inv = self
+                self.__dict__["_inverse"] = weakref.ref(self)
+            else:
+                inv = GroupSubset(self.group, mask)
+                self.__dict__["_inverse"] = inv
+                inv.__dict__["_inverse"] = weakref.ref(self)
         return inv
 
     def left_translate(self, g: int) -> "GroupSubset":
@@ -658,3 +667,82 @@ def restrict_to_subgroup(
     labels = [group.label(e) for e in elems] if group.labels else None
     sub = FiniteGroup(table, labels=labels, name=f"{group.name}|sub{len(elems)}")
     return sub, elems
+
+
+# ---------------------------------------------------------------------------
+# Automorphisms
+
+
+def automorphism_generators(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """A few automorphisms that generate Aut(G), each as the tuple of images.
+
+    An automorphism is fixed by its images of the generators
+    g_1, ..., g_r of :func:`_light_generators`, and an image keeps the
+    element order.  The search runs down the chain Aut = A_0 >= ... >= A_r = 1,
+    where A_i fixes g_1, ..., g_i, from the bottom up: at level i it keeps,
+    for each image of g_i that the automorphisms kept so far do not reach,
+    one automorphism of A_(i-1) giving it.  The kept ones then reach the
+    whole A_(i-1)-orbit of g_i, and they generate A_i by induction, so they
+    generate A_(i-1) by orbit-stabilizer.
+    """
+    table = group.table
+    n = group.order
+    gens = _light_generators(np.asarray(table))
+    candidates = [
+        [x for x in range(n) if group.element_order(x) == group.element_order(g)] for g in gens
+    ]
+
+    def extension(images: list[int]) -> Optional[list[int]]:
+        # The map g_i -> images[i] extended along the Cayley graph of
+        # <g_1, ..., g_k>, or None unless it is an injective homomorphism:
+        # phi(x g_i) = phi(x) images[i] for every x reached and every i.
+        phi = [-1] * n
+        phi[IDENTITY] = IDENTITY
+        used = 1 << IDENTITY
+        stack = [IDENTITY]
+        while stack:
+            x = stack.pop()
+            row, image_row = table[x], table[phi[x]]
+            for g, image in zip(gens, images):
+                y, z = row[g], image_row[image]
+                if phi[y] < 0:
+                    if used >> z & 1:
+                        return None
+                    phi[y] = z
+                    used |= 1 << z
+                    stack.append(y)
+                elif phi[y] != z:
+                    return None
+        return phi
+
+    def search(images: list[int]) -> Optional[list[int]]:
+        phi = extension(images)
+        if phi is None or len(images) == len(gens):
+            return phi
+        for image in candidates[len(images)]:
+            found = search(images + [image])
+            if found is not None:
+                return found
+        return None
+
+    def orbit(x: int, perms: list[list[int]]) -> set[int]:
+        reached = {x}
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for perm in perms:
+                if perm[y] not in reached:
+                    reached.add(perm[y])
+                    stack.append(perm[y])
+        return reached
+
+    kept: list[list[int]] = []
+    for i in reversed(range(len(gens))):
+        reached = orbit(gens[i], kept)
+        for image in candidates[i]:
+            if image not in reached:
+                phi = search(gens[:i] + [image])
+                if phi is not None:
+                    kept.append(phi)
+                    reached = orbit(gens[i], kept)
+    return [tuple(phi) for phi in kept]

@@ -18,7 +18,6 @@ import numpy as np
 from .catalog import GroupSpec, build_group, catalog_specs
 from .classify import (
     Case,
-    HypothesisReport,
     classify,
     hypothesis_holds,
     verify_mann,
@@ -45,9 +44,9 @@ from .digraphs import (
 from .errors import PreconditionError, SizeCapError
 from .family import build_example, sophie_germain_scan
 from .groups import (
-    IDENTITY,
     FiniteGroup,
     GroupSubset,
+    automorphism_generators,
     double_coset_pairs,
     enumerate_subgroups,
     generated_subgroup,
@@ -139,35 +138,88 @@ def _generating_masks(group: FiniteGroup) -> Iterator[int]:
         yield from masks.tolist()
 
 
-def _subset_classes(group: FiniteGroup, generating: bool) -> Iterator[tuple[int, int]]:
-    """Each mask of :func:`_mask_blocks` with its class, the least right
-    translate S*s^-1 over s in S, as an integer; each translate contains 1.
-
-    The image of a block under x -> x*s^-1 is gathered byte by byte from
-    256-entry tables, and the least image is kept where the mask holds s.
-    """
-    _require_mask_width(group)
-    n = group.order
+def _byte_images(perms: np.ndarray) -> np.ndarray:
+    """``images[p, j, b]`` is the mask of the image under the permutation
+    ``perms[p]`` of the set whose mask is b << 8j."""
+    count, n = perms.shape
     nbytes = -(-n // 8)
-    # bits[s, x] = 1 << (x * s^-1), padded to whole bytes
-    bits = np.zeros((n, 8 * nbytes), dtype=np.uint64)
-    bits[:, :n] = np.uint64(1) << np.asarray(group.table, dtype=np.uint64)[:, group.inverse].T
-    bits = bits.reshape(n, nbytes, 8)
-    # images[s, j, b] = image under x -> x*s^-1 of the set whose mask is b << 8j
-    images = _pattern_unions(bits)
+    bits = np.zeros((count, 8 * nbytes), dtype=np.uint64)
+    bits[:, :n] = np.uint64(1) << perms.astype(np.uint64)
+    return _pattern_unions(bits.reshape(count, nbytes, 8))
+
+
+def _image(images: np.ndarray, slices: list[np.ndarray]) -> np.ndarray:
+    """The images of a block under one permutation, one gather per byte."""
+    out = images[0, slices[0]]
+    for j in range(1, len(slices)):
+        out |= images[j, slices[j]]
+    return out
+
+
+def _byte_slices(masks: np.ndarray, nbytes: int) -> list[np.ndarray]:
+    return [(masks >> np.uint64(8 * j) & np.uint64(0xFF)).astype(np.intp) for j in range(nbytes)]
+
+
+def _translate_images(group: FiniteGroup) -> np.ndarray:
+    """The byte images of x -> x*s^-1, for each s."""
+    _require_mask_width(group)
+    return _byte_images(np.asarray(group.table)[:, group.inverse].T)
+
+
+def _class_keys(translates: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Each mask's class key, the least right translate S*s^-1 over s in S,
+    which contains 1; ``translates`` is :func:`_translate_images`."""
+    slices = _byte_slices(masks, translates.shape[1])
+    least = np.full_like(masks, np.iinfo(np.uint64).max)
+    for s in range(len(translates)):
+        held = (masks >> np.uint64(s) & np.uint64(1)).astype(bool)
+        np.minimum(least, _image(translates[s], slices), out=least, where=held)
+    return least
+
+
+def _subset_orbits(group: FiniteGroup, generating: bool) -> Iterator[tuple[int, int]]:
+    """Each mask of :func:`_mask_blocks`, ascending, with its orbit key: the
+    least class key in its orbit under S -> phi(g S h), g, h in G and phi
+    in Aut(G).
+
+    A class (the right translates of a set) goes under phi to a class, and
+    gS = (g S g^-1) g lies in the class of an inner image; so the orbits are
+    the classes joined along c -> key(phi(c)) for the generators of
+    :func:`automorphism_generators`.  Both kinds of blocks are closed under
+    these maps, and each generator permutes their classes.  The joins are
+    a union-find over the class keys: every class takes the least of its
+    label, its image's label and its label's label, until none changes.
+    As the images run through whole cycles, the label is then the least
+    index, so the least key, of its orbit.  Memory holds the class keys and
+    one block, so two passes are made over the blocks.
+    """
+    translates = _translate_images(group)
+    classes = np.unique(
+        np.concatenate(
+            [np.unique(_class_keys(translates, m)) for m in _mask_blocks(group, generating)]
+        )
+    )
+    slices = _byte_slices(classes, translates.shape[1])
+    perms = np.array(automorphism_generators(group), dtype=np.intp).reshape(-1, group.order)
+    moves = []
+    for images in _byte_images(perms):
+        moved = _class_keys(translates, _image(images, slices))
+        target = np.minimum(np.searchsorted(classes, moved), len(classes) - 1)
+        if not np.array_equal(classes[target], moved):
+            raise RuntimeError(f"{group.name}: an automorphism left the enumerated classes")
+        moves.append(target)
+    label = np.arange(len(classes))
+    while True:
+        before = label
+        for target in moves:
+            label = np.minimum(label, label[target])
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    orbit_keys = classes[label]
     for masks in _mask_blocks(group, generating):
-        slices = [
-            (masks >> np.uint64(8 * j) & np.uint64(0xFF)).astype(np.intp) for j in range(nbytes)
-        ]
-        least = np.full_like(masks, np.iinfo(np.uint64).max)
-        image = np.empty_like(masks)
-        for s in range(n):
-            np.take(images[s, 0], slices[0], out=image)
-            for j in range(1, nbytes):
-                image |= images[s, j, slices[j]]
-            held = (masks >> np.uint64(s) & np.uint64(1)).astype(bool)
-            np.minimum(least, image, out=least, where=held)
-        yield from zip(masks.tolist(), least.tolist())
+        keys = orbit_keys[np.searchsorted(classes, _class_keys(translates, masks))]
+        yield from zip(masks.tolist(), keys.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -200,41 +252,49 @@ class SweepResult:
 
 
 def _main_theorem_group(spec: GroupSpec) -> MainTheoremRow:
+    """The main-theorem row of one group, decided once per orbit.
+
+    Hypothesis and case are decided on each orbit's key (see
+    :func:`_subset_orbits`) and counted for every member.  This rests on
+    elementary facts, not on the theorem under test.  For S' = phi(gSh),
+    X' = phi(X g^-1) has |X'| = |X| and X'S' = phi(XSh), so X -> X' carries
+    a hypothesis witness of S to one of S' with the same boundary (a left
+    translate of a witness is one, so it may contain 1), and generation
+    passes to every member.  Progressions map to progressions: if kS is
+    one, so are (k g^-1)(gS) = kS, (h^-1 k)(Sh) = h^-1 (kS) h and
+    phi(k)phi(S).  A subgroup cover H, a double-coset pair H u Ha and the
+    S^-1 side map to conjugates or images of the same sizes.  So every
+    member has the key's hypothesis and the same first case.  A failing
+    orbit lists each member's literal, in ascending mask order.
+    """
     group = build_group(spec)
     n = group.order
-    cache: dict[int, tuple[bool, Optional[int]]] = {}
+    # (case, witness verified) of each orbit's key, None when the hypothesis fails
+    decided: dict[int, Optional[tuple[Case, bool]]] = {}
     generating = hyp_true = 0
     cases = {Case.CASE_I: 0, Case.CASE_II: 0, Case.CASE_III: 0}
     violations: list[str] = []
     unverified: list[str] = []
-    for smask, canon in _subset_classes(group, True):
+    for smask, key in _subset_orbits(group, True):
         generating += 1
-        if canon in cache:
-            holds, witness_mask = cache[canon]
-        else:
-            report = hypothesis_holds(group, GroupSubset(group, canon))
-            holds = report.holds
-            witness_mask = report.witness.mask if report.witness is not None else None
-            cache[canon] = (holds, witness_mask)
-        if not holds:
+        if key not in decided:
+            s = GroupSubset(group, key)
+            report = hypothesis_holds(group, s)
+            result = classify(group, s, hypothesis=report) if report.holds else None
+            decided[key] = (result.case, result.verified) if result is not None else None
+        outcome = decided[key]
+        if outcome is None:
             continue
+        case, verified = outcome
         hyp_true += 1
-        subset = GroupSubset(group, smask)
-        hyp = HypothesisReport(
-            holds=True,
-            normalized=subset,
-            translator=IDENTITY,
-            generates=True,
-            two_separable=True,
-            witness=GroupSubset(group, witness_mask) if witness_mask is not None else None,
-        )
-        result = classify(group, subset, hypothesis=hyp)
-        if result.case in cases:
-            cases[result.case] += 1
-            if not result.verified:
-                unverified.append(f"{spec.name} S={subset.to_literal()}")
+        if case in cases:
+            cases[case] += 1
+            if not verified:
+                unverified.append(f"{spec.name} S={GroupSubset(group, smask).to_literal()}")
         else:
-            violations.append(f"{spec.name} S={subset.to_literal()} -> {result.case.value}")
+            violations.append(
+                f"{spec.name} S={GroupSubset(group, smask).to_literal()} -> {case.value}"
+            )
     return MainTheoremRow(
         group=spec.name,
         order=n,
@@ -366,15 +426,15 @@ def _mann_group(spec: GroupSpec) -> MannRow:
     subsets = hyp_true = 0
     disagreements: list[str] = []
     missing: list[str] = []
-    for smask, canon in _subset_classes(group, False):
+    for smask, key in _subset_orbits(group, False):
         subsets += 1
         subset = GroupSubset(group, smask)
         verdict = verify_mann(group, subset)
-        if canon in agreement_cache:
-            brute = agreement_cache[canon]
+        if key in agreement_cache:
+            brute = agreement_cache[key]
         else:
-            brute = _t_enumeration(group, canon)
-            agreement_cache[canon] = brute
+            brute = _t_enumeration(group, key)
+            agreement_cache[key] = brute
         if verdict.hypothesis != brute:
             disagreements.append(
                 f"{spec.name} S={subset.to_literal()}: kappa-form {verdict.hypothesis}, scan {brute}"

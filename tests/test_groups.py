@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from sumatoms.catalog import build_group, catalog_specs
 from sumatoms.groups import (
     _full_associativity_failure,
     _light_associativity_failure,
+    automorphism_generators,
     double_coset_mask,
     double_coset_pairs,
 )
@@ -371,3 +374,84 @@ def test_subset_basics():
         GroupSubset.from_literal(g, "0 x")
     with pytest.raises(ValidationError):
         GroupSubset.from_literal(g, "0 9")
+
+
+def test_inverse_links_form_no_reference_cycle():
+    # With the collector off, a set and its inverse must die by reference
+    # counting alone, while the round trip holds as long as the set lives.
+    g = make_cyclic(7)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for literal, symmetric in (("0 1 3", False), ("0 1 6", True)):
+            s = GroupSubset.from_literal(g, literal)
+            assert (s.inverse_set() is s) == symmetric
+            assert s.inverse_set().inverse_set() is s
+            dead = weakref.ref(s)
+            dead_inverse = weakref.ref(s.inverse_set())
+            del s
+            assert dead() is None and dead_inverse() is None, literal
+        # The inverse outlives its set: it then builds a new inverse.
+        s = GroupSubset.from_literal(g, "0 1 3")
+        inv = s.inverse_set()
+        del s
+        again = inv.inverse_set()
+        assert again.to_literal() == "0 1 3" and again.inverse_set() is inv
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _generated_order(n, perms):
+    """Size of the permutation group the perms generate, by closure."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        step = []
+        for p in frontier:
+            for g in perms:
+                q = tuple(g[x] for x in p)
+                if q not in seen:
+                    seen.add(q)
+                    step.append(q)
+        frontier = step
+    return len(seen)
+
+
+AUT_ORDERS = {
+    "C15": 8,
+    "D7": 42,
+    "C2xC2xC2": 168,
+    "C3xC3": 48,
+    "D8": 32,
+    "C4xC4": 96,
+    "C2xD4": 64,
+    "C2xC2xC2xC2": 20160,
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUT_ORDERS))
+def test_automorphism_generators_generate_the_whole_automorphism_group(name):
+    (spec,) = [s for s in catalog_specs(16) if s.name == name]
+    group = build_group(spec)
+    n = group.order
+    perms = automorphism_generators(group)
+    table = group.table
+    for phi in perms:
+        assert sorted(phi) == list(range(n))
+        assert all(
+            phi[table[x][y]] == table[phi[x]][phi[y]] for x in range(n) for y in range(n)
+        )
+    assert _generated_order(n, perms) == AUT_ORDERS[name]
+
+
+def test_automorphism_generators_are_automorphisms_on_the_catalog():
+    for spec in catalog_specs(14):
+        group = build_group(spec)
+        n = group.order
+        arr = np.array(group.table)
+        for phi in automorphism_generators(group):
+            p = np.array(phi)
+            assert sorted(phi) == list(range(n)), spec.name
+            assert np.array_equal(p[arr], arr[np.ix_(p, p)]), spec.name

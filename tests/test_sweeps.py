@@ -1,19 +1,30 @@
-"""The catalog sweeps' subset enumerator against the per-subset reference.
+"""The catalog sweeps' subset enumerator and main sweep against references.
 
 ``reference_generating_subsets`` and ``reference_class_mask`` are the
 enumeration the sweeps used before the block-wise scan: one closure per odd
 mask to test generation, and |S| ``permute_mask`` calls to find the least
 right translate.  The block-wise scan must give the same (mask, class) list
-in the same order.
+in the same order.  ``reference_main_theorem_group`` is the main sweep as it
+was before it decided once per orbit: one hypothesis walk per class and one
+``classify`` per hypothesis-true subset.
 """
+
+import dataclasses
 
 import pytest
 
 from sumatoms import SizeCapError, make_cyclic, sweeps
 from sumatoms.bitset import bit_indices, indices_tuple, permute_mask
 from sumatoms.catalog import build_group, catalog_specs
-from sumatoms.groups import closure_mask
-from sumatoms.sweeps import _generating_masks, _subset_classes
+from sumatoms.classify import Case, HypothesisReport, entry
+from sumatoms.groups import IDENTITY, GroupSubset, automorphism_generators, closure_mask
+from sumatoms.sweeps import (
+    _class_keys,
+    _generating_masks,
+    _mask_blocks,
+    _subset_orbits,
+    _translate_images,
+)
 
 
 def reference_class_mask(group, smask):
@@ -33,6 +44,17 @@ def reference_classes(group, masks):
     return [(m, reference_class_mask(group, m)) for m in masks]
 
 
+def class_pairs(group, generating):
+    """Each mask of the block-wise scan with its class key, as the orbit
+    enumerator computes them."""
+    translates = _translate_images(group)
+    return [
+        (m, c)
+        for masks in _mask_blocks(group, generating)
+        for m, c in zip(masks.tolist(), _class_keys(translates, masks).tolist())
+    ]
+
+
 def test_generating_subsets_and_classes_match_the_reference_up_to_order_14():
     specs = catalog_specs(14)
     assert len(specs) == 23
@@ -40,14 +62,14 @@ def test_generating_subsets_and_classes_match_the_reference_up_to_order_14():
         group = build_group(spec)
         expected = list(reference_generating_subsets(group))
         assert list(_generating_masks(group)) == expected, spec.name
-        assert list(_subset_classes(group, True)) == reference_classes(group, expected), spec.name
+        assert class_pairs(group, True) == reference_classes(group, expected), spec.name
 
 
 def test_elementary_abelian_16_needs_five_generators():
     (spec,) = [s for s in catalog_specs(16) if s.name == "C2xC2xC2xC2"]
     group = build_group(spec)
     expected = list(reference_generating_subsets(group))
-    got = list(_subset_classes(group, True))
+    got = class_pairs(group, True)
     assert got == reference_classes(group, expected)
     assert min(m.bit_count() for m, _ in got) == 5
     assert [m for m, _ in got] == list(_generating_masks(group))
@@ -57,7 +79,7 @@ def test_all_subset_classes_match_the_reference_up_to_order_12():
     for spec in catalog_specs(12):
         group = build_group(spec)
         masks = [m for m in range(1, 1 << group.order) if m.bit_count() >= 2]
-        assert list(_subset_classes(group, False)) == reference_classes(group, masks), spec.name
+        assert class_pairs(group, False) == reference_classes(group, masks), spec.name
 
 
 def test_groups_above_64_elements_are_refused():
@@ -65,7 +87,9 @@ def test_groups_above_64_elements_are_refused():
     with pytest.raises(SizeCapError):
         next(_generating_masks(group))
     with pytest.raises(SizeCapError):
-        next(_subset_classes(group, False))
+        _translate_images(group)
+    with pytest.raises(SizeCapError):
+        next(_subset_orbits(group, True))
 
 
 class _InlineExecutor:
@@ -95,3 +119,176 @@ def test_workers_are_capped_by_the_number_of_groups(monkeypatch):
     assert result.passed and len(result.rows) == 4
     assert sweeps._map_specs(lambda s: s.order, specs, 2) == [2, 3, 4, 4]
     assert _InlineExecutor.created == [4, 2]
+
+
+# ---------------------------------------------------------------------------
+# Orbits and the main sweep
+
+
+def reference_main_theorem_group(spec):
+    """The main-theorem row with one hypothesis walk per right-translate
+    class and one ``classify`` per hypothesis-true subset."""
+    group = build_group(spec)
+    n = group.order
+    cache = {}
+    generating = hyp_true = 0
+    cases = {Case.CASE_I: 0, Case.CASE_II: 0, Case.CASE_III: 0}
+    violations = []
+    unverified = []
+    for smask, canon in class_pairs(group, True):
+        generating += 1
+        if canon in cache:
+            holds, witness_mask = cache[canon]
+        else:
+            report = sweeps.hypothesis_holds(group, GroupSubset(group, canon))
+            holds = report.holds
+            witness_mask = report.witness.mask if report.witness is not None else None
+            cache[canon] = (holds, witness_mask)
+        if not holds:
+            continue
+        hyp_true += 1
+        subset = GroupSubset(group, smask)
+        hyp = HypothesisReport(
+            holds=True,
+            normalized=subset,
+            translator=IDENTITY,
+            generates=True,
+            two_separable=True,
+            witness=GroupSubset(group, witness_mask) if witness_mask is not None else None,
+        )
+        result = sweeps.classify(group, subset, hypothesis=hyp)
+        if result.case in cases:
+            cases[result.case] += 1
+            if not result.verified:
+                unverified.append(f"{spec.name} S={subset.to_literal()}")
+        else:
+            violations.append(f"{spec.name} S={subset.to_literal()} -> {result.case.value}")
+    return sweeps.MainTheoremRow(
+        group=spec.name,
+        order=n,
+        subsets=(1 << (n - 1)) - 1,
+        generating=generating,
+        hypothesis_true=hyp_true,
+        case_i=cases[Case.CASE_I],
+        case_ii=cases[Case.CASE_II],
+        case_iii=cases[Case.CASE_III],
+        violations=tuple(violations),
+        unverified=tuple(unverified),
+    )
+
+
+def test_main_sweep_rows_match_the_per_class_reference_up_to_order_15():
+    specs = catalog_specs(15)
+    assert len(specs) == 24
+    for spec in specs:
+        assert sweeps._main_theorem_group(spec) == reference_main_theorem_group(spec), spec.name
+
+
+def test_main_sweep_walks_the_hypothesis_once_per_orbit(monkeypatch):
+    calls = []
+    walk = sweeps.hypothesis_holds
+
+    def counted(group, s):
+        calls.append((group.name, s.mask))
+        return walk(group, s)
+
+    monkeypatch.setattr(sweeps, "hypothesis_holds", counted)
+    result = sweeps.sweep_main_theorem(15)
+    assert result.passed
+    assert sum(row.generating for row in result.rows) == 45698
+    # One walk per G x G x Aut(G) orbit; one per right-translate class was 6,842.
+    assert len(calls) == len(set(calls)) == 1206
+
+
+def brute_orbit_keys(group):
+    """The orbit key of every generating mask: the least mask containing 1
+    among the phi(g S h), over all g, h and every phi the generators give."""
+    n = group.order
+    auts = {tuple(range(n))}
+    frontier = list(auts)
+    gens = automorphism_generators(group)
+    while frontier:
+        step = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[x] for x in p)
+                if q not in auts:
+                    auts.add(q)
+                    step.append(q)
+        frontier = step
+    keys = {}
+    for smask in _generating_masks(group):
+        if smask in keys:
+            continue
+        orbit = set()
+        for g in range(n):
+            left = permute_mask(smask, group.table[g])
+            for h in range(n):
+                both = permute_mask(left, group.column(h))
+                orbit.update(permute_mask(both, phi) for phi in auts)
+        key = min(m for m in orbit if m & 1)
+        keys.update((m, key) for m in orbit if m & 1)
+    return keys
+
+
+def test_orbit_keys_match_brute_force_up_to_order_12():
+    for spec in catalog_specs(12):
+        group = build_group(spec)
+        keys = brute_orbit_keys(group)
+        expected = [(m, keys[m]) for m in _generating_masks(group)]
+        assert list(_subset_orbits(group, True)) == expected, spec.name
+
+
+# Generating subsets with 1, and their G x G x Aut(G) orbits, at order 16.
+ORBIT_COUNTS = {
+    "D8": (32400, 294),
+    "C16": (32640, 669),
+    "C2xD4": (31968, 251),
+    "C4xC4": (32400, 161),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_COUNTS))
+def test_orbit_counts_at_order_16(name):
+    (spec,) = [s for s in catalog_specs(16) if s.name == name]
+    pairs = list(_subset_orbits(build_group(spec), True))
+    assert (len(pairs), len({key for _, key in pairs})) == ORBIT_COUNTS[name]
+
+
+def _flagging(members, failure):
+    """A ``classify`` that reports ``failure`` on every set in ``members``."""
+    classify = sweeps.classify
+
+    def patched(group, s, *, hypothesis=None):
+        result = classify(group, s, hypothesis=hypothesis)
+        if s.mask not in members:
+            return result
+        if failure == "violation":
+            return dataclasses.replace(result, case=Case.VIOLATION)
+        return dataclasses.replace(result, transcript=(entry("patched", 0, "==", 1),))
+
+    return patched
+
+
+@pytest.mark.parametrize("failure", ["violation", "unverified"])
+def test_a_failing_orbit_lists_every_member_like_the_reference(monkeypatch, failure):
+    (spec,) = [s for s in catalog_specs(10) if s.name == "D5"]
+    group = build_group(spec)
+    orbits = {}
+    for smask, key in _subset_orbits(group, True):
+        orbits.setdefault(key, []).append(smask)
+    # The largest orbit whose key satisfies the hypothesis; it spans classes.
+    holding = [k for k in orbits if sweeps.hypothesis_holds(group, GroupSubset(group, k)).holds]
+    key = max(holding, key=lambda k: (len(orbits[k]), -k))
+    members = orbits[key]
+    assert len({reference_class_mask(group, m) for m in members}) > 1
+    monkeypatch.setattr(sweeps, "classify", _flagging(set(members), failure))
+    row = sweeps._main_theorem_group(spec)
+    assert row == reference_main_theorem_group(spec)
+    literals = [GroupSubset(group, m).to_literal() for m in sorted(members)]
+    if failure == "violation":
+        assert row.violations == tuple(f"D5 S={lit} -> VIOLATION" for lit in literals)
+        assert row.unverified == ()
+    else:
+        assert row.unverified == tuple(f"D5 S={lit}" for lit in literals)
+        assert row.violations == ()
