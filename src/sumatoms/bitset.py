@@ -25,10 +25,19 @@ def indices_tuple(mask: int) -> tuple[int, ...]:
 
 
 def permute_mask(mask: int, perm) -> int:
-    """Image of a bitmask under an index permutation (``perm[i]`` = image of i)."""
+    """Image of a bitmask under an index permutation (``perm[i]`` = image of i).
+
+    ``perm`` must be a permutation of ``range(len(perm))``.  A mask holding
+    more than half of those bits is mapped through its complement, since a
+    bijection takes the complement of a set to the complement of its image;
+    so the work is the smaller side's size either way.
+    """
+    n = len(perm)
+    full = (1 << n) - 1 if mask.bit_count() * 2 > n else 0
+    mask ^= full
     out = 0
     while mask:
         low = mask & -mask
         out |= 1 << perm[low.bit_length() - 1]
         mask ^= low
-    return out
+    return out ^ full

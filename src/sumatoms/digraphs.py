@@ -216,6 +216,8 @@ def verify_translation_transitivity(
     for z in range(group.order):
         perm = _vertex_translation(group, reps, coset_of, z)
         orbit_of_base.add(perm[0])
+        # permute_mask maps dense masks through their complements, which is
+        # only sound for a bijection: this check must come first.
         if len(set(perm)) != n:
             failures.append(f"translation by {z} is not a vertex bijection")
             continue

@@ -360,11 +360,14 @@ def require_same_group(group: FiniteGroup, *subsets: GroupSubset) -> FiniteGroup
 
 
 def product_mask(group: FiniteGroup, xmask: int, ymask: int) -> int:
-    """Bitmask of {x*y : x in X, y in Y}."""
+    """Bitmask of {x*y : x in X, y in Y}; stops once it covers the group."""
     table = group.table
+    full = (1 << group.order) - 1
     out = 0
     for x in bit_indices(xmask):
         out |= permute_mask(ymask, table[x])
+        if out == full:
+            break
     return out
 
 
@@ -527,21 +530,37 @@ def load_group_table(text: str, *, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
 
 
 def closure_mask(group: FiniteGroup, generators: Iterable[int]) -> int:
-    """Bitmask of the subgroup generated by the given element indices."""
-    gens = set(generators)
-    gens.update(group.inverse[g] for g in list(gens))
+    """Bitmask of the subgroup generated by the given element indices.
+
+    A generator already inside the subgroup built so far is skipped; the
+    others are kept, and each new one re-closes the subgroup under right
+    multiplication by the kept generators alone.  In a finite group that is
+    enough: the closure of {1} under x -> x*g is <g>, because g^-1 is the
+    power g^(ord(g)-1), so no inverses are needed.  Members already closed
+    under the earlier generators need only the new one; the elements it
+    reaches need all of them.
+    """
     table = group.table
     members = 1 << IDENTITY
-    queue = [IDENTITY]
-    while queue:
-        x = queue.pop()
-        row = table[x]
-        for g in gens:
-            y = row[g]
-            bit = 1 << y
-            if not members & bit:
-                members |= bit
-                queue.append(y)
+    elements = [IDENTITY]
+    kept: list[int] = []
+    for g in generators:
+        if members >> g & 1:
+            continue
+        kept.append(g)
+        stack = [y for y in (table[x][g] for x in elements) if not members >> y & 1]
+        for y in stack:
+            members |= 1 << y
+        elements.extend(stack)
+        while stack:
+            row = table[stack.pop()]
+            for h in kept:
+                y = row[h]
+                bit = 1 << y
+                if not members & bit:
+                    members |= bit
+                    elements.append(y)
+                    stack.append(y)
     return members
 
 

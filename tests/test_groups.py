@@ -24,13 +24,17 @@ from sumatoms import (
     restrict_to_subgroup,
     right_coset_decomposition,
 )
+from sumatoms.bitset import bit_indices, mask_from_indices, permute_mask
 from sumatoms.catalog import build_group, catalog_specs
+from sumatoms.family import build_example
 from sumatoms.groups import (
     _full_associativity_failure,
     _light_associativity_failure,
     automorphism_generators,
+    closure_mask,
     double_coset_mask,
     double_coset_pairs,
+    product_mask,
 )
 
 # SHA-256 over (name, table, inverse, labels) of the catalog groups up to
@@ -229,6 +233,129 @@ def test_generated_subgroup_idempotent_monotone():
             assert generated_subgroup(group, gen).mask == gen.mask
             y = GroupSubset.from_indices(group, xs + [rng.randrange(n)])
             assert gen.issubset(generated_subgroup(group, y))
+
+
+def _mask_sizes(n):
+    """Set sizes below, at and above n/2, with the empty and the full set."""
+    sizes = {0, 1, n // 2 - 1, n // 2, (n + 1) // 2, n // 2 + 1, n - 1, n}
+    return sorted(sizes & set(range(n + 1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 15, 16, 65, 66])
+def test_permute_mask_matches_the_literal_image(n):
+    # Masks of more than n/2 bits take the complement branch; the reference
+    # maps every set bit on its own.
+    rng = random.Random(n)
+    perms = [list(range(n)), list(range(n))[::-1]]
+    for _ in range(4):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        perms.append(perm)
+    for size in _mask_sizes(n):
+        for perm in perms:
+            for _ in range(3):
+                mask = mask_from_indices(rng.sample(range(n), size))
+                image = mask_from_indices(perm[i] for i in bit_indices(mask))
+                assert permute_mask(mask, perm) == image, (n, size)
+                assert permute_mask(mask, tuple(perm)) == image, (n, size)
+
+
+def test_permute_mask_matches_the_literal_image_on_group_permutations():
+    rng = random.Random(22)
+    for spec in catalog_specs(12):
+        group = build_group(spec)
+        n = group.order
+        perms = [group.inverse] + [group.table[x] for x in range(n)]
+        perms += [group.column(x) for x in range(n)]
+        for size in _mask_sizes(n):
+            mask = mask_from_indices(rng.sample(range(n), size))
+            for perm in perms:
+                image = mask_from_indices(perm[i] for i in bit_indices(mask))
+                assert permute_mask(mask, perm) == image, (spec.name, size)
+
+
+def _product_reference(group, xmask, ymask):
+    """Every product x*y, with no early exit."""
+    table = group.table
+    return mask_from_indices(
+        table[x][y] for x in bit_indices(xmask) for y in bit_indices(ymask)
+    )
+
+
+def test_product_mask_matches_the_full_union():
+    rng = random.Random(5)
+    for spec in catalog_specs(14):
+        group = build_group(spec)
+        n = group.order
+        subgroups = [h.mask for h in enumerate_subgroups(group)]
+        masks = subgroups + [
+            mask_from_indices(rng.sample(range(n), size))
+            for size in _mask_sizes(n)
+            for _ in range(2)
+        ]
+        for xmask in masks:
+            for ymask in masks:
+                expected = _product_reference(group, xmask, ymask)
+                assert product_mask(group, xmask, ymask) == expected, spec.name
+
+
+def test_product_mask_matches_the_full_union_on_the_family():
+    inst = build_example(23, 11)
+    group = inst.group
+    masks = [inst.subgroup.mask, inst.pair.mask, inst.removed.mask, inst.subset.mask]
+    masks.append(mask_from_indices(random.Random(3).sample(range(group.order), 30)))
+    for xmask in masks:
+        for ymask in masks:
+            expected = _product_reference(group, xmask, ymask)
+            assert product_mask(group, xmask, ymask) == expected
+
+
+def _closure_reference(group, generators):
+    """Closure of the identity under the generators and their inverses."""
+    gens = set(generators)
+    gens.update(group.inverse[g] for g in list(gens))
+    table = group.table
+    members = 1
+    queue = [0]
+    while queue:
+        x = queue.pop()
+        row = table[x]
+        for g in gens:
+            y = row[g]
+            bit = 1 << y
+            if not members & bit:
+                members |= bit
+                queue.append(y)
+    return members
+
+
+def test_closure_mask_matches_the_inverse_closed_search():
+    # Every single element, then seeded lists of 1 to 4 elements, which may
+    # repeat an element or hold ones already generated by the others.
+    rng = random.Random(11)
+    for spec in catalog_specs(16):
+        group = build_group(spec)
+        n = group.order
+        lists = [[g] for g in range(n)]
+        lists += [[rng.randrange(n) for _ in range(rng.randint(1, 4))] for _ in range(40)]
+        for gens in lists:
+            assert closure_mask(group, gens) == _closure_reference(group, gens), (
+                spec.name,
+                gens,
+            )
+    assert closure_mask(make_cyclic(6), []) == 1
+
+
+def test_closure_mask_matches_the_inverse_closed_search_on_the_family_set():
+    inst = build_example(23, 11)
+    group = inst.group
+    gens = inst.subset.indices()
+    assert len(gens) == 210
+    expected = _closure_reference(group, gens)
+    assert expected == (1 << group.order) - 1
+    assert closure_mask(group, gens) == expected
+    for sample in (gens[:3], gens[-4:], inst.subgroup.indices()[1:3]):
+        assert closure_mask(group, sample) == _closure_reference(group, sample)
 
 
 def test_enumerate_subgroups_small():

@@ -10,14 +10,19 @@ truncated one.  The ``group``, ``atoms``, ``classify --set``, ``example``
 and ``scan`` digests pin every other command's report, ``config.*`` header
 included (a CASE_I set with translator 1 and a CASE_II set); they were
 recorded before the header moved from a config object onto the parsed
-arguments.  Commands are split shell-style, so a quoted set literal stays
-one argument.
+arguments.  The two ``59 29`` digests pin the order-1711 family member; they
+were recorded before dense sets were translated by their complements.
+Commands are split shell-style, so a quoted set literal stays one argument.
 """
 
 import hashlib
 import io
+import os
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +65,12 @@ GOLDEN = {
     "example 7 3": (
         "89ba22ca1a19b645e0c99d1a50a819934d0f071817d1dae811ede094b3bc6ef9"
     ),
+    "example 59 29": (
+        "8b1ae6b2a24529fbbfa0d79ab79e9717d96e352a8b12df24c3e43965675bff88"
+    ),
+    "classify --semidirect 59 29 --example": (
+        "25638452d2a5952dfecdf7add8f5d4c81a4de3bd268b9d4060a9e38e369f2ce3"
+    ),
     "scan --limit 25": (
         "f48d279f1b332c82b2e290a1b99864051cfa3236dd7f292aa5ee4c578d28ef0a"
     ),
@@ -83,3 +94,16 @@ def test_machine_report_digest(command):
     assert code == 0
     digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
     assert digest == GOLDEN[command]
+
+
+def test_python_dash_m_prints_the_same_report():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    command = "group --cyclic 6"
+    done = subprocess.run(
+        [sys.executable, "-m", "sumatoms", *command.split(), "--format", "machine"],
+        env=env,
+        capture_output=True,
+        check=True,
+    )
+    assert hashlib.sha256(done.stdout).hexdigest() == GOLDEN[command]
