@@ -2,16 +2,16 @@
 
 Covers cyclic and dihedral groups, their direct products, and the
 semidirect family members, up to an order bound.  Obvious isomorphic
-duplicates are skipped: a product with two coprime cyclic factors collapses
-into a single cyclic factor (every abelian group keeps its invariant-factor
-form), and C2 x D_m with m odd is dihedral.  No general isomorphism testing
-is attempted; the occasional redundant entry only adds coverage.
+duplicates are skipped: the cyclic factors of a product, in non-decreasing
+order, must each divide the next (so every abelian group keeps its
+invariant-factor form: C2 x C12, not C4 x C6), and C2 x D_m with m odd is
+dihedral.  No general isomorphism testing is attempted; the occasional
+redundant entry only adds coverage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .groups import (
     FiniteGroup,
@@ -40,8 +40,8 @@ class GroupSpec:
 def _factor_ok(factors: tuple[tuple[int, int], ...]) -> bool:
     for i, (pa, da) in enumerate(factors):
         for pb, db in factors[i + 1 :]:
-            if not da and not db and gcd(pa, pb) == 1:
-                return False  # coprime cyclic pair: collapses to one cyclic factor
+            if not da and not db and pb % pa:
+                return False  # not an invariant-factor chain: C4 x C6 is C2 x C12
             if da != db:
                 cyclic_param = pb if da else pa
                 dihedral_param = pa if da else pb

@@ -376,12 +376,7 @@ def _verify_case_iii(
     ]
 
 
-def classify(
-    group: FiniteGroup,
-    s: GroupSubset,
-    *,
-    hypothesis: Optional[HypothesisReport] = None,
-) -> ClassificationResult:
+def classify(group: FiniteGroup, s: GroupSubset) -> ClassificationResult:
     """Decide which structural case holds for (G, S).
 
     The set is first right-translated to contain the identity; all reported
@@ -389,11 +384,9 @@ def classify(
     directly to the covering case with H the generated subgroup.  If the
     hypothesis holds and no case fits, the result is VIOLATION, which
     falsifies either this implementation or the classification itself.
-    A precomputed hypothesis report may be supplied by sweeps that decide
-    it once per translate class.
     """
     require_same_group(group, s)
-    hyp = hypothesis if hypothesis is not None else hypothesis_holds(group, s)
+    hyp = hypothesis_holds(group, s)
     s1 = hyp.normalized
     if not hyp.holds:
         transcript = [

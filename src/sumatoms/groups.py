@@ -275,10 +275,6 @@ class GroupSubset:
     def complement(self) -> "GroupSubset":
         return GroupSubset(self.group, ~self.mask & ((1 << self.group.order) - 1))
 
-    def issubset(self, other: "GroupSubset") -> bool:
-        require_same_group(self.group, other)
-        return self.mask & ~other.mask == 0
-
     def inverse_set(self) -> "GroupSubset":
         """Elementwise inverses {x^-1 : x in X}, built once per set object.
 
@@ -299,10 +295,6 @@ class GroupSubset:
                 self.__dict__["_inverse"] = inv
                 inv.__dict__["_inverse"] = weakref.ref(self)
         return inv
-
-    def left_translate(self, g: int) -> "GroupSubset":
-        """g*X."""
-        return GroupSubset(self.group, permute_mask(self.mask, self.group.table[g]))
 
     def right_translate(self, g: int) -> "GroupSubset":
         """X*g."""

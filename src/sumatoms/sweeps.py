@@ -19,7 +19,6 @@ from .catalog import GroupSpec, build_group, catalog_specs
 from .classify import (
     Case,
     classify,
-    hypothesis_holds,
     verify_mann,
     verify_two_coset_theorem,
 )
@@ -222,6 +221,32 @@ def _subset_orbits(group: FiniteGroup, generating: bool) -> Iterator[tuple[int, 
         yield from zip(masks.tolist(), keys.tolist())
 
 
+def _orbit_outcomes(
+    group: FiniteGroup, generating: bool, decide: Callable[[GroupSubset], T]
+) -> Iterator[tuple[int, T]]:
+    """Each mask of :func:`_subset_orbits`, ascending, with ``decide`` of its
+    orbit key, called once per key; sweeps count it for every member.
+
+    The key's outcome holds for every member by elementary facts, not by
+    the theorems under test.  For S' = phi(gSh), X -> phi(X g^-1) keeps |X|
+    and maps XS to phi(XSh), so it carries boundary witnesses (a left
+    translate of one is one, so it may contain 1), fragments and atoms of S
+    to those of S' of the same sizes, and as many atoms contain 1 (they are
+    closed under left translation).  Generation passes on, and S'^-1 lies
+    in the orbit of S^-1.  ``decide`` returns plain values: a cached set
+    would keep its translate masks alive for every orbit.
+    """
+    outcomes: dict[int, T] = {}
+    for smask, key in _subset_orbits(group, generating):
+        if key not in outcomes:
+            outcomes[key] = decide(GroupSubset(group, key))
+        yield smask, outcomes[key]
+
+
+def _member(spec: GroupSpec, group: FiniteGroup, smask: int) -> str:
+    return f"{spec.name} S={GroupSubset(group, smask).to_literal()}"
+
+
 # ---------------------------------------------------------------------------
 # Main classification sweep
 
@@ -252,55 +277,37 @@ class SweepResult:
 
 
 def _main_theorem_group(spec: GroupSpec) -> MainTheoremRow:
-    """The main-theorem row of one group, decided once per orbit.
-
-    Hypothesis and case are decided on each orbit's key (see
-    :func:`_subset_orbits`) and counted for every member.  This rests on
-    elementary facts, not on the theorem under test.  For S' = phi(gSh),
-    X' = phi(X g^-1) has |X'| = |X| and X'S' = phi(XSh), so X -> X' carries
-    a hypothesis witness of S to one of S' with the same boundary (a left
-    translate of a witness is one, so it may contain 1), and generation
-    passes to every member.  Progressions map to progressions: if kS is
+    """The main-theorem row of one group, classified once per orbit
+    (:func:`_orbit_outcomes`).  Progressions map to progressions: if kS is
     one, so are (k g^-1)(gS) = kS, (h^-1 k)(Sh) = h^-1 (kS) h and
-    phi(k)phi(S).  A subgroup cover H, a double-coset pair H u Ha and the
-    S^-1 side map to conjugates or images of the same sizes.  So every
-    member has the key's hypothesis and the same first case.  A failing
-    orbit lists each member's literal, in ascending mask order.
+    phi(k)phi(S); a subgroup cover H, a double-coset pair H u Ha and the
+    S^-1 side map to conjugates or images of the same sizes.
     """
     group = build_group(spec)
     n = group.order
-    # (case, witness verified) of each orbit's key, None when the hypothesis fails
-    decided: dict[int, Optional[tuple[Case, bool]]] = {}
-    generating = hyp_true = 0
+
+    def decide(s: GroupSubset) -> tuple[Case, bool]:
+        result = classify(group, s)
+        return result.case, result.verified
+
+    generating = 0
     cases = {Case.CASE_I: 0, Case.CASE_II: 0, Case.CASE_III: 0}
     violations: list[str] = []
     unverified: list[str] = []
-    for smask, key in _subset_orbits(group, True):
+    for smask, (case, verified) in _orbit_outcomes(group, True, decide):
         generating += 1
-        if key not in decided:
-            s = GroupSubset(group, key)
-            report = hypothesis_holds(group, s)
-            result = classify(group, s, hypothesis=report) if report.holds else None
-            decided[key] = (result.case, result.verified) if result is not None else None
-        outcome = decided[key]
-        if outcome is None:
-            continue
-        case, verified = outcome
-        hyp_true += 1
         if case in cases:
             cases[case] += 1
             if not verified:
-                unverified.append(f"{spec.name} S={GroupSubset(group, smask).to_literal()}")
-        else:
-            violations.append(
-                f"{spec.name} S={GroupSubset(group, smask).to_literal()} -> {case.value}"
-            )
+                unverified.append(_member(spec, group, smask))
+        elif case is not Case.HYPOTHESIS_FAILS:
+            violations.append(f"{_member(spec, group, smask)} -> {case.value}")
     return MainTheoremRow(
         group=spec.name,
         order=n,
         subsets=(1 << (n - 1)) - 1,
         generating=generating,
-        hypothesis_true=hyp_true,
+        hypothesis_true=sum(cases.values()) + len(violations),
         case_i=cases[Case.CASE_I],
         case_ii=cases[Case.CASE_II],
         case_iii=cases[Case.CASE_III],
@@ -421,28 +428,28 @@ def _t_enumeration(group: FiniteGroup, smask: int) -> bool:
 
 
 def _mann_group(spec: GroupSpec) -> MannRow:
+    """The Mann row of one group, decided once per orbit
+    (:func:`_orbit_outcomes`).  A subgroup H that covers S maps to a
+    conjugate or image of the same size that covers S'.
+    """
     group = build_group(spec)
-    agreement_cache: dict[int, bool] = {}
+
+    def decide(s: GroupSubset) -> tuple[bool, bool, bool]:
+        verdict = verify_mann(group, s)
+        return verdict.hypothesis, verdict.consistent, _t_enumeration(group, s.mask)
+
     subsets = hyp_true = 0
     disagreements: list[str] = []
     missing: list[str] = []
-    for smask, key in _subset_orbits(group, False):
+    for smask, (hypothesis, consistent, brute) in _orbit_outcomes(group, False, decide):
         subsets += 1
-        subset = GroupSubset(group, smask)
-        verdict = verify_mann(group, subset)
-        if key in agreement_cache:
-            brute = agreement_cache[key]
-        else:
-            brute = _t_enumeration(group, key)
-            agreement_cache[key] = brute
-        if verdict.hypothesis != brute:
+        hyp_true += hypothesis
+        if hypothesis != brute:
             disagreements.append(
-                f"{spec.name} S={subset.to_literal()}: kappa-form {verdict.hypothesis}, scan {brute}"
+                f"{_member(spec, group, smask)}: kappa-form {hypothesis}, scan {brute}"
             )
-        if verdict.hypothesis:
-            hyp_true += 1
-            if not verdict.consistent:
-                missing.append(f"{spec.name} S={subset.to_literal()}")
+        if hypothesis and not consistent:
+            missing.append(_member(spec, group, smask))
     return MannRow(spec.name, subsets, hyp_true, tuple(disagreements), tuple(missing))
 
 
@@ -476,50 +483,58 @@ def _straddles(atom: int, fragments: set[int], k: int) -> bool:
     return any(atom & ~f and (atom & f).bit_count() >= k for f in fragments)
 
 
-def _intersection_group(spec: GroupSpec) -> IntersectionRow:
-    group = build_group(spec)
-    n = group.order
+def _intersection_checks(subset: GroupSubset) -> tuple[int, int, int, tuple[str, ...]]:
+    """The pairwise, fragment and subgroup checks made on one set, and its failure kinds."""
+    group = subset.group
     pairwise = frag_checked = subgroup_checked = 0
+    kinds: list[str] = []
+    sinv = subset.inverse_set()
+    two_separable = _separability_witness(subset, 2) is not None
+    if two_separable:
+        rep, tally = _walk_report(subset, 2, DEFAULT_ATOM_CAP)
+        rep_inv = find_atoms(sinv, 2)
+        if rep.atoms_truncated:
+            kinds.append("atom list truncated")
+        if group.order >= 2 * rep.alpha + rep.kappa:
+            pairwise += 1
+            if _overlapping_pair(atom_translates(rep, group), 2) is not None:
+                kinds.append("atom pair overlap")
+        if rep.kappa != rep_inv.kappa:
+            kinds.append("kappa differs under inversion")
+        if rep.alpha <= rep_inv.alpha:
+            frag_checked += 1
+            frag_masks = _left_translates(group, tally.fragment_masks())
+            if any(_straddles(atom.mask, frag_masks, 2) for atom in rep.atoms):
+                kinds.append("atom/fragment overlap")
+    if _separability_witness(subset, 1) is not None:
+        rep1, tally1 = _walk_report(subset, 1, DEFAULT_ATOM_CAP)
+        rep1_inv = find_atoms(sinv, 1)
+        if rep1.alpha <= rep1_inv.alpha:
+            subgroup_checked += 1
+            for atom in rep1.atoms:
+                if generated_subgroup(group, atom).mask != atom.mask:
+                    kinds.append("level-1 atom not a subgroup")
+        if two_separable and rep.alpha <= rep_inv.alpha:
+            # level-1 atoms sit inside or entirely outside every fragment
+            frag_masks = _left_translates(group, tally1.fragment_masks())
+            for atom in rep1.atoms:
+                if _straddles(atom.mask, frag_masks, 1):
+                    kinds.append("level-1 atom straddles fragment")
+    return pairwise, frag_checked, subgroup_checked, tuple(kinds)
+
+
+def _intersection_group(spec: GroupSpec) -> IntersectionRow:
+    """The intersection row of one group, checked once per orbit
+    (:func:`_orbit_outcomes`).  The level-1 atom A of S containing 1 maps to
+    phi(g A g^-1), that of S', so level-1 atoms map to conjugate subgroups.
+    """
+    group = build_group(spec)
+    counts = [0, 0, 0]  # pairwise, fragment and subgroup checks
     failures: list[str] = []
-    for smask in _generating_masks(group):
-        subset = GroupSubset(group, smask)
-        name = f"{spec.name} S={subset.to_literal()}"
-        sinv = subset.inverse_set()
-        two_separable = _separability_witness(subset, 2) is not None
-        if two_separable:
-            rep, tally = _walk_report(subset, 2, DEFAULT_ATOM_CAP)
-            rep_inv = find_atoms(sinv, 2)
-            if rep.atoms_truncated:
-                failures.append(f"atom list truncated: {name}")
-            atoms_all = atom_translates(rep, group)
-            if n >= 2 * rep.alpha + rep.kappa:
-                pairwise += 1
-                if _overlapping_pair(atoms_all, 2) is not None:
-                    failures.append(f"atom pair overlap: {name}")
-            if rep.kappa != rep_inv.kappa:
-                failures.append(f"kappa differs under inversion: {name}")
-            if rep.alpha <= rep_inv.alpha:
-                frag_checked += 1
-                frag_masks = _left_translates(group, tally.fragment_masks())
-                if any(_straddles(atom.mask, frag_masks, 2) for atom in rep.atoms):
-                    failures.append(f"atom/fragment overlap: {name}")
-        if _separability_witness(subset, 1) is not None:
-            rep1, tally1 = _walk_report(subset, 1, DEFAULT_ATOM_CAP)
-            rep1_inv = find_atoms(sinv, 1)
-            if rep1.alpha <= rep1_inv.alpha:
-                subgroup_checked += 1
-                for atom in rep1.atoms:
-                    if generated_subgroup(group, atom).mask != atom.mask:
-                        failures.append(f"level-1 atom not a subgroup: {name}")
-            if two_separable and rep.alpha <= rep_inv.alpha:
-                # level-1 atoms sit inside or entirely outside every fragment
-                frag_masks = _left_translates(group, tally1.fragment_masks())
-                for atom in rep1.atoms:
-                    if _straddles(atom.mask, frag_masks, 1):
-                        failures.append(f"level-1 atom straddles fragment: {name}")
-    return IntersectionRow(
-        spec.name, pairwise, frag_checked, subgroup_checked, tuple(failures)
-    )
+    for smask, (*checked, kinds) in _orbit_outcomes(group, True, _intersection_checks):
+        counts = [total + c for total, c in zip(counts, checked)]
+        failures.extend(f"{kind}: {_member(spec, group, smask)}" for kind in kinds)
+    return IntersectionRow(spec.name, *counts, tuple(failures))
 
 
 def sweep_intersection(max_order: int = 12, *, workers: int = 1) -> SweepResult:

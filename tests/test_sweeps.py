@@ -1,4 +1,4 @@
-"""The catalog sweeps' subset enumerator and main sweep against references.
+"""The catalog sweeps' subset enumerator and theorem sweeps against references.
 
 ``reference_generating_subsets`` and ``reference_class_mask`` are the
 enumeration the sweeps used before the block-wise scan: one closure per odd
@@ -6,7 +6,10 @@ mask to test generation, and |S| ``permute_mask`` calls to find the least
 right translate.  The block-wise scan must give the same (mask, class) list
 in the same order.  ``reference_main_theorem_group`` is the main sweep as it
 was before it decided once per orbit: one hypothesis walk per class and one
-``classify`` per hypothesis-true subset.
+``classify`` per hypothesis-true subset.  ``reference_mann_group`` and
+``reference_intersection_group`` are the Mann and intersection sweeps as
+they were before they decided once per orbit: ``verify_mann`` on every
+subset, and every check of the intersection sweep on every generating set.
 """
 
 import dataclasses
@@ -16,13 +19,23 @@ import pytest
 from sumatoms import SizeCapError, make_cyclic, sweeps
 from sumatoms.bitset import bit_indices, indices_tuple, permute_mask
 from sumatoms.catalog import build_group, catalog_specs
-from sumatoms.classify import Case, HypothesisReport, entry
-from sumatoms.groups import IDENTITY, GroupSubset, automorphism_generators, closure_mask
+from sumatoms.classify import Case, entry, hypothesis_holds
+from sumatoms.groups import GroupSubset, automorphism_generators, closure_mask
+from sumatoms.sumsets import (
+    DEFAULT_ATOM_CAP,
+    _left_translates,
+    _overlapping_pair,
+    _walk_report,
+    atom_translates,
+    find_atoms,
+)
 from sumatoms.sweeps import (
     _class_keys,
     _generating_masks,
     _mask_blocks,
+    _straddles,
     _subset_orbits,
+    _t_enumeration,
     _translate_images,
 )
 
@@ -137,26 +150,13 @@ def reference_main_theorem_group(spec):
     unverified = []
     for smask, canon in class_pairs(group, True):
         generating += 1
-        if canon in cache:
-            holds, witness_mask = cache[canon]
-        else:
-            report = sweeps.hypothesis_holds(group, GroupSubset(group, canon))
-            holds = report.holds
-            witness_mask = report.witness.mask if report.witness is not None else None
-            cache[canon] = (holds, witness_mask)
-        if not holds:
+        if canon not in cache:
+            cache[canon] = hypothesis_holds(group, GroupSubset(group, canon)).holds
+        if not cache[canon]:
             continue
         hyp_true += 1
         subset = GroupSubset(group, smask)
-        hyp = HypothesisReport(
-            holds=True,
-            normalized=subset,
-            translator=IDENTITY,
-            generates=True,
-            two_separable=True,
-            witness=GroupSubset(group, witness_mask) if witness_mask is not None else None,
-        )
-        result = sweeps.classify(group, subset, hypothesis=hyp)
+        result = sweeps.classify(group, subset)
         if result.case in cases:
             cases[result.case] += 1
             if not result.verified:
@@ -184,19 +184,28 @@ def test_main_sweep_rows_match_the_per_class_reference_up_to_order_15():
         assert sweeps._main_theorem_group(spec) == reference_main_theorem_group(spec), spec.name
 
 
+def _counting(monkeypatch, name, calls, counts=lambda *args: True):
+    """Replace ``sweeps.<name>`` by a wrapper that records (group, mask) of
+    each call that ``counts`` accepts."""
+    original = getattr(sweeps, name)
+
+    def counted(*args):
+        if counts(*args):
+            s = next(a for a in args if isinstance(a, GroupSubset))
+            calls.append((s.group.name, s.mask))
+        return original(*args)
+
+    monkeypatch.setattr(sweeps, name, counted)
+
+
 def test_main_sweep_walks_the_hypothesis_once_per_orbit(monkeypatch):
     calls = []
-    walk = sweeps.hypothesis_holds
-
-    def counted(group, s):
-        calls.append((group.name, s.mask))
-        return walk(group, s)
-
-    monkeypatch.setattr(sweeps, "hypothesis_holds", counted)
+    _counting(monkeypatch, "classify", calls)
     result = sweeps.sweep_main_theorem(15)
     assert result.passed
     assert sum(row.generating for row in result.rows) == 45698
-    # One walk per G x G x Aut(G) orbit; one per right-translate class was 6,842.
+    # One classify (so one walk) per G x G x Aut(G) orbit; one walk per
+    # right-translate class was 6,842.
     assert len(calls) == len(set(calls)) == 1206
 
 
@@ -259,8 +268,8 @@ def _flagging(members, failure):
     """A ``classify`` that reports ``failure`` on every set in ``members``."""
     classify = sweeps.classify
 
-    def patched(group, s, *, hypothesis=None):
-        result = classify(group, s, hypothesis=hypothesis)
+    def patched(group, s):
+        result = classify(group, s)
         if s.mask not in members:
             return result
         if failure == "violation":
@@ -278,7 +287,7 @@ def test_a_failing_orbit_lists_every_member_like_the_reference(monkeypatch, fail
     for smask, key in _subset_orbits(group, True):
         orbits.setdefault(key, []).append(smask)
     # The largest orbit whose key satisfies the hypothesis; it spans classes.
-    holding = [k for k in orbits if sweeps.hypothesis_holds(group, GroupSubset(group, k)).holds]
+    holding = [k for k in orbits if hypothesis_holds(group, GroupSubset(group, k)).holds]
     key = max(holding, key=lambda k: (len(orbits[k]), -k))
     members = orbits[key]
     assert len({reference_class_mask(group, m) for m in members}) > 1
@@ -292,3 +301,161 @@ def test_a_failing_orbit_lists_every_member_like_the_reference(monkeypatch, fail
     else:
         assert row.unverified == tuple(f"D5 S={lit}" for lit in literals)
         assert row.violations == ()
+
+
+# ---------------------------------------------------------------------------
+# The Mann and intersection sweeps
+
+
+def reference_mann_group(spec):
+    """The Mann row with ``verify_mann`` on every subset and the
+    T-enumeration cached by orbit key."""
+    group = build_group(spec)
+    agreement_cache = {}
+    subsets = hyp_true = 0
+    disagreements = []
+    missing = []
+    for smask, key in _subset_orbits(group, False):
+        subsets += 1
+        subset = GroupSubset(group, smask)
+        verdict = sweeps.verify_mann(group, subset)
+        if key in agreement_cache:
+            brute = agreement_cache[key]
+        else:
+            brute = _t_enumeration(group, key)
+            agreement_cache[key] = brute
+        if verdict.hypothesis != brute:
+            disagreements.append(
+                f"{spec.name} S={subset.to_literal()}: kappa-form {verdict.hypothesis}, scan {brute}"
+            )
+        if verdict.hypothesis:
+            hyp_true += 1
+            if not verdict.consistent:
+                missing.append(f"{spec.name} S={subset.to_literal()}")
+    return sweeps.MannRow(spec.name, subsets, hyp_true, tuple(disagreements), tuple(missing))
+
+
+def reference_intersection_group(spec):
+    """The intersection row with every check made on every generating set."""
+    group = build_group(spec)
+    n = group.order
+    pairwise = frag_checked = subgroup_checked = 0
+    failures = []
+    for smask in _generating_masks(group):
+        subset = GroupSubset(group, smask)
+        name = f"{spec.name} S={subset.to_literal()}"
+        sinv = subset.inverse_set()
+        two_separable = sweeps._separability_witness(subset, 2) is not None
+        if two_separable:
+            rep, tally = _walk_report(subset, 2, DEFAULT_ATOM_CAP)
+            rep_inv = find_atoms(sinv, 2)
+            if rep.atoms_truncated:
+                failures.append(f"atom list truncated: {name}")
+            atoms_all = atom_translates(rep, group)
+            if n >= 2 * rep.alpha + rep.kappa:
+                pairwise += 1
+                if _overlapping_pair(atoms_all, 2) is not None:
+                    failures.append(f"atom pair overlap: {name}")
+            if rep.kappa != rep_inv.kappa:
+                failures.append(f"kappa differs under inversion: {name}")
+            if rep.alpha <= rep_inv.alpha:
+                frag_checked += 1
+                frag_masks = _left_translates(group, tally.fragment_masks())
+                if any(_straddles(atom.mask, frag_masks, 2) for atom in rep.atoms):
+                    failures.append(f"atom/fragment overlap: {name}")
+        if sweeps._separability_witness(subset, 1) is not None:
+            rep1, tally1 = _walk_report(subset, 1, DEFAULT_ATOM_CAP)
+            rep1_inv = find_atoms(sinv, 1)
+            if rep1.alpha <= rep1_inv.alpha:
+                subgroup_checked += 1
+                for atom in rep1.atoms:
+                    if sweeps.generated_subgroup(group, atom).mask != atom.mask:
+                        failures.append(f"level-1 atom not a subgroup: {name}")
+            if two_separable and rep.alpha <= rep_inv.alpha:
+                frag_masks = _left_translates(group, tally1.fragment_masks())
+                for atom in rep1.atoms:
+                    if _straddles(atom.mask, frag_masks, 1):
+                        failures.append(f"level-1 atom straddles fragment: {name}")
+    return sweeps.IntersectionRow(
+        spec.name, pairwise, frag_checked, subgroup_checked, tuple(failures)
+    )
+
+
+def test_mann_sweep_rows_match_the_per_subset_reference_up_to_order_12():
+    specs = catalog_specs(12)
+    assert len(specs) == 20
+    for spec in specs:
+        assert sweeps._mann_group(spec) == reference_mann_group(spec), spec.name
+
+
+def test_intersection_sweep_rows_match_the_per_set_reference_up_to_order_12():
+    for spec in catalog_specs(12):
+        assert sweeps._intersection_group(spec) == reference_intersection_group(spec), spec.name
+
+
+def test_mann_sweep_decides_once_per_orbit(monkeypatch):
+    calls = []
+    _counting(monkeypatch, "verify_mann", calls)
+    result = sweeps.sweep_mann(12)
+    assert result.passed
+    assert sum(row.subsets for row in result.rows) == 18590
+    assert len(calls) == len(set(calls)) == 566
+
+
+def test_intersection_sweep_checks_once_per_orbit(monkeypatch):
+    calls = []
+    _counting(monkeypatch, "_separability_witness", calls, lambda s, k: k == 2)
+    result = sweeps.sweep_intersection(12)
+    assert result.passed
+    assert len(calls) == len(set(calls)) == 477
+
+
+def _literals(group, name, masks):
+    return tuple(f"{name} S={GroupSubset(group, m).to_literal()}" for m in masks)
+
+
+def test_a_missing_cover_lists_every_member_like_the_reference(monkeypatch):
+    verify_mann = sweeps.verify_mann
+    monkeypatch.setattr(
+        sweeps,
+        "verify_mann",
+        lambda group, s: dataclasses.replace(verify_mann(group, s), consistent=False),
+    )
+    listed = 0
+    for spec in catalog_specs(8):
+        row = sweeps._mann_group(spec)
+        assert row == reference_mann_group(spec), spec.name
+        group = build_group(spec)
+        holding = [
+            m
+            for m in range(1, 1 << group.order)
+            if m.bit_count() >= 2 and verify_mann(group, GroupSubset(group, m)).hypothesis
+        ]
+        assert row.hypothesis_true == len(holding)
+        assert row.missing_witness == _literals(group, spec.name, holding), spec.name
+        listed += len(holding)
+    assert listed > 0
+
+
+def test_a_level_1_atom_failure_lists_every_member_like_the_reference(monkeypatch):
+    monkeypatch.setattr(
+        sweeps,
+        "generated_subgroup",
+        lambda group, s: GroupSubset(group, (1 << group.order) - 1),
+    )
+    kind = "level-1 atom not a subgroup"
+    listed = 0
+    for spec in catalog_specs(8):
+        row = sweeps._intersection_group(spec)
+        assert row == reference_intersection_group(spec), spec.name
+        group = build_group(spec)
+        checked = [
+            m
+            for m in _generating_masks(group)
+            if kind in sweeps._intersection_checks(GroupSubset(group, m))[3]
+        ]
+        assert len(checked) == row.subgroup_checked
+        flagged = _literals(group, f"{kind}: {spec.name}", checked)
+        assert tuple(f for f in row.failures if f.startswith(kind)) == flagged, spec.name
+        listed += len(checked)
+    assert listed > 0
