@@ -11,9 +11,11 @@ is exact on arc-transitive graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from .bitset import bit_indices, indices_tuple, mask_from_indices, permute_mask
 from .errors import (
@@ -25,6 +27,7 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     GroupSubset,
+    _light_generators,
     double_coset_mask,
     require_same_group,
     right_coset_mask,
@@ -34,6 +37,7 @@ DEFAULT_EXACT_CUT_CAP = 16
 EXHAUSTIVE_CUT_CAP = 22
 FLOW_WORK_CAP = 200_000
 CUT_ATOM_CAP = 256
+SWEEP_CHUNK_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -149,13 +153,17 @@ def coset_vertices(group: FiniteGroup, hmask: int) -> tuple[list[int], list[int]
     return reps, coset_of
 
 
+def _require_subgroup(group: FiniteGroup, subgroup: GroupSubset) -> None:
+    require_same_group(group, subgroup)
+    if not subgroup.is_subgroup():
+        raise PreconditionError(f"{{{subgroup.to_literal()}}} is not a subgroup")
+
+
 def build_quotient_graph(
     group: FiniteGroup, subgroup: GroupSubset, a: int
 ) -> DirectedGraph:
     """The digraph on right cosets Hx with an arc Hx -> Hy when HaHx covers Hy."""
-    require_same_group(group, subgroup)
-    if not subgroup.is_subgroup():
-        raise PreconditionError(f"{{{subgroup.to_literal()}}} is not a subgroup")
+    _require_subgroup(group, subgroup)
     if not 0 <= a < group.order:
         raise PreconditionError(f"element {a} out of range")
     if a in subgroup:
@@ -205,26 +213,41 @@ def verify_translation_transitivity(
     transitively on its out-neighbors.  Left multiplication by elements of H
     fixes every right coset, so the stabilizer action is realized by the
     right translations.
+
+    Only the translations by a set Γ of ``_light_generators`` are checked.
+    Since H is a subgroup, z -> (Hx -> Hxz) is a right action: translating
+    by yz is translating by y, then by z.  Every element is a product of
+    elements of Γ, so arc-preserving bijections for Γ compose into ones for
+    all of G, and the orbit of the base coset under Γ is its orbit under G.
     """
+    _require_subgroup(group, subgroup)
     failures: list[str] = []
     reps, coset_of = coset_vertices(group, subgroup.mask)
     n = graph.vertex_count
     if len(reps) != n:
         raise PreconditionError("graph does not match the coset structure")
     out = graph.out_masks
-    orbit_of_base = set()
-    for z in range(group.order):
+    perms = []
+    for z in _light_generators(group.order, group.column):
         perm = _vertex_translation(group, reps, coset_of, z)
-        orbit_of_base.add(perm[0])
         # permute_mask maps dense masks through their complements, which is
         # only sound for a bijection: this check must come first.
         if len(set(perm)) != n:
             failures.append(f"translation by {z} is not a vertex bijection")
             continue
+        perms.append(perm)
         for u in range(n):
             if permute_mask(out[u], perm) != out[perm[u]]:
                 failures.append(f"translation by {z} breaks arcs at vertex {u}")
                 break
+    orbit_of_base = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for perm in perms:
+            if perm[u] not in orbit_of_base:
+                orbit_of_base.add(perm[u])
+                stack.append(perm[u])
     if len(orbit_of_base) != n:
         failures.append("translations do not act transitively on vertices")
     neighbors = list(bit_indices(out[0]))
@@ -437,6 +460,87 @@ def arc_connectivity_exhaustive(graph: DirectedGraph, k: int) -> ArcCutReport:
     return _least_cuts(graph, k, cuts, "exhaustive")
 
 
+def _adjacency(graph: DirectedGraph) -> np.ndarray:
+    """The n x n int8 adjacency matrix: entry (u, v) is 1 for an arc u -> v."""
+    n = graph.vertex_count
+    return np.array([[m >> v & 1 for v in range(n)] for m in graph.out_masks], dtype=np.int8)
+
+
+def _subset_values(
+    weights: np.ndarray, pair_weights: np.ndarray, size: int
+) -> Iterator[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
+    """Every ``size``-subset C of the vertices, in lexicographic order, with its value.
+
+    The value of C is the sum of ``weights[v]`` over v in C plus the sum of
+    ``pair_weights[u, v]`` over pairs u < v in C (``pair_weights`` is
+    symmetric).  Yields ``(prefix, rows, values)``: C is ``prefix`` followed by
+    a row of ``rows``.  The prefix is fixed just long enough that the rows of
+    one chunk never exceed ``SWEEP_CHUNK_ROWS``, so no array grows with
+    C(n, size).  The pair sums of the rows are computed once per size; each
+    prefix only adds its weights to the rows' vertices.
+    """
+    n = len(weights)
+    fixed = 0
+    while fixed < size - 1 and comb(n - fixed, size - fixed) > SWEEP_CHUNK_ROWS:
+        fixed += 1
+    width = size - fixed
+    # All width-subsets of fixed..n-1; those after a prefix ending at p are
+    # the rows from starts[p + 1] on, since rows are sorted by first vertex.
+    flat = chain.from_iterable(combinations(range(fixed, n), width))
+    rows = np.fromiter(flat, dtype=np.intp, count=comb(n - fixed, width) * width)
+    rows = rows.reshape(-1, width)
+    inner = np.zeros(len(rows), dtype=np.int64)
+    for i, j in combinations(range(width), 2):
+        inner += pair_weights[rows[:, i], rows[:, j]]
+    starts = np.searchsorted(rows[:, 0], np.arange(n + 1))
+    for prefix in combinations(range(n - width), fixed):
+        base = int(weights[list(prefix)].sum()) + sum(
+            int(pair_weights[u, v]) for u, v in combinations(prefix, 2)
+        )
+        shifted = weights + pair_weights[list(prefix)].sum(axis=0, dtype=np.int64)
+        start = starts[prefix[-1] + 1] if prefix else 0
+        chunk = rows[start:]
+        yield prefix, chunk, inner[start:] + shifted[chunk].sum(axis=1) + base
+
+
+def _transitive_sweep(graph: DirectedGraph, k: int) -> ArcCutReport:
+    """``_least_cuts`` over the cuts of k to max(k, 2k-2) vertices, in chunks.
+
+    Exact on connected arc-transitive graphs: arc k-atoms have at most
+    max(k, 2k-2) vertices there, so sweeping the small sizes finds lambda.
+    The cuts come by size, then in lexicographic order, and the tally keeps
+    ``_least_cuts``' rule: least e(C) (the sum of out-degrees over C minus
+    the arcs inside C), then least size, then the first ``CUT_ATOM_CAP``
+    atoms in visit order.
+    """
+    n = graph.vertex_count
+    adjacency = _adjacency(graph)
+    out_degrees = adjacency.sum(axis=1, dtype=np.int64)
+    inside = -(adjacency + adjacency.T)
+    lam = alpha = None
+    atoms: list[tuple[int, ...]] = []
+    count = 0
+    for size in range(k, min(max(k, 2 * k - 2), n - k) + 1):
+        for prefix, rows, values in _subset_values(out_degrees, inside, size):
+            low = int(values.min())
+            if lam is not None and (low > lam or (low == lam and size > alpha)):
+                continue
+            if lam is None or low < lam:
+                lam, alpha, atoms, count = low, size, [], 0
+            hits = np.flatnonzero(values == low)
+            count += len(hits)
+            for i in hits[: CUT_ATOM_CAP - len(atoms)]:
+                atoms.append(prefix + tuple(rows[i].tolist()))
+    return ArcCutReport(
+        k=k,
+        lam=lam,
+        atoms=tuple(sorted(atoms)),
+        separable=True,
+        atoms_complete=count == len(atoms),
+        method="transitive-sweep",
+    )
+
+
 def arc_connectivity(
     graph: DirectedGraph,
     k: int,
@@ -483,11 +587,7 @@ def arc_connectivity(
     if n <= exact_cap:
         return arc_connectivity_exhaustive(graph, k)
     if arc_transitive:
-        # Exact on connected arc-transitive graphs: arc k-atoms have at most
-        # max(k, 2k-2) vertices there, so sweeping the small sizes finds lambda.
-        sizes = range(k, min(max(k, 2 * k - 2), n - k) + 1)
-        cuts = (mask_from_indices(c) for size in sizes for c in combinations(range(n), size))
-        return _least_cuts(graph, k, cuts, "transitive-sweep")
+        return _transitive_sweep(graph, k)
     raise GraphTooLargeError(
         f"exact cuts need <= {exact_cap} vertices unless arc-transitivity is asserted"
     )
@@ -560,16 +660,17 @@ def is_octahedron_underlying(graph: DirectedGraph) -> bool:
 def max_induced_arcs(graph: DirectedGraph, k: int) -> int:
     """Largest arc count induced by any k vertices (exhaustive; meant for k <= 4)."""
     n = graph.vertex_count
-    if k > n:
-        raise PreconditionError(f"k={k} exceeds vertex count {n}")
-    out = graph.out_masks
-    best = 0
-    for combo in combinations(range(n), k):
-        cmask = mask_from_indices(combo)
-        arcs = sum((out[v] & cmask).bit_count() for v in combo)
-        if arcs > best:
-            best = arcs
-    return best
+    if not 0 <= k <= n:
+        raise PreconditionError(f"k={k} outside 0..{n}, the vertex count")
+    if k < 2:
+        return 0
+    adjacency = _adjacency(graph)
+    return max(
+        int(values.max())
+        for _, _, values in _subset_values(
+            np.zeros(n, dtype=np.int64), adjacency + adjacency.T, k
+        )
+    )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -25,16 +26,18 @@ from sumatoms import (
     is_octahedron_underlying,
     is_strongly_connected,
     make_cyclic,
+    make_dihedral,
     max_induced_arcs,
     oriented_octahedron,
     oriented_rook,
     verify_translation_transitivity,
 )
 from sumatoms import digraphs, sweeps
-from sumatoms.bitset import permute_mask
+from sumatoms.bitset import bit_indices, mask_from_indices, permute_mask
 from sumatoms.catalog import build_group, catalog_specs
-from sumatoms.digraphs import coset_vertices, graph_from_arcs
-from sumatoms.groups import double_coset_mask
+from sumatoms.digraphs import TransitivityVerdict, coset_vertices, graph_from_arcs
+from sumatoms.errors import GroupMismatchError
+from sumatoms.groups import _light_generators, double_coset_mask, double_coset_pairs
 from sumatoms.sumsets import product_set
 
 
@@ -474,3 +477,195 @@ def test_transitive_sweep_matches_exhaustive():
                 assert len(sweep.atoms) == len(exh.atoms) == 256
             cases += 1
     assert (cases, truncated) == (40, 2)
+
+
+# ---------------------------------------------------------------------------
+# References for the generator-based symmetry check and the chunked sweep
+
+
+def _transitivity_reference(graph, group, subgroup, a):
+    """The symmetry check over every translation of G, not only generators."""
+    failures = []
+    reps, coset_of = coset_vertices(group, subgroup.mask)
+    n = graph.vertex_count
+    out = graph.out_masks
+    orbit_of_base = set()
+    for z in range(group.order):
+        perm = [coset_of[group.table[rep][z]] for rep in reps]
+        orbit_of_base.add(perm[0])
+        if len(set(perm)) != n:
+            failures.append(f"translation by {z} is not a vertex bijection")
+            continue
+        for u in range(n):
+            if permute_mask(out[u], perm) != out[perm[u]]:
+                failures.append(f"translation by {z} breaks arcs at vertex {u}")
+                break
+    if len(orbit_of_base) != n:
+        failures.append("translations do not act transitively on vertices")
+    neighbors = list(bit_indices(out[0]))
+    reached = set()
+    for z in subgroup:
+        perm = [coset_of[group.table[rep][z]] for rep in reps]
+        if perm[0] != 0:
+            failures.append(f"translation by subgroup element {z} moves the base coset")
+            continue
+        if neighbors:
+            reached.add(perm[neighbors[0]])
+    if not set(neighbors) <= reached:
+        failures.append("subgroup translations not transitive on base out-neighbors")
+    degrees = {m.bit_count() for m in out}
+    in_degrees = {m.bit_count() for m in graph.in_masks()}
+    regular = len(degrees) == 1 and in_degrees == degrees
+    if not regular:
+        failures.append("graph is not regular with equal in- and out-degrees")
+    return TransitivityVerdict(
+        regular=regular,
+        degree=degrees.pop() if len(degrees) == 1 else None,
+        failures=tuple(failures),
+    )
+
+
+def _sweep_reference(graph, k):
+    """The transitive sweep as plain ``combinations`` tallied by ``_least_cuts``."""
+    n = graph.vertex_count
+    sizes = range(k, min(max(k, 2 * k - 2), n - k) + 1)
+    cuts = (mask_from_indices(c) for size in sizes for c in combinations(range(n), size))
+    return digraphs._least_cuts(graph, k, cuts, "transitive-sweep")
+
+
+def _max_induced_arcs_reference(graph, k):
+    out = graph.out_masks
+    best = 0
+    for combo in combinations(range(graph.vertex_count), k):
+        cmask = mask_from_indices(combo)
+        best = max(best, sum((out[v] & cmask).bit_count() for v in combo))
+    return best
+
+
+def _quotient_instances():
+    # The (G, H, a) that _certified_quotients(20) tries, certified or not,
+    # then the family members up to SD(47,23).
+    for spec in catalog_specs(20):
+        if spec.order < 6:
+            continue
+        group = build_group(spec)
+        last = None
+        for h, picked, _ in double_coset_pairs(group):
+            if len(h) > 3:
+                break
+            if h != last:
+                last = h
+                yield group, h, picked
+    for p, q in ((7, 3), (11, 5), (23, 11), (47, 23)):
+        inst = build_example(p, q)
+        yield inst.group, inst.subgroup, inst.a
+
+
+def _moved_arc(graph):
+    # The first arc moved onto the first non-arc; None on a complete graph.
+    n = graph.vertex_count
+    arcs = sorted(graph.arcs())
+    missing = [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in arcs]
+    if not missing:
+        return None
+    return graph_from_arcs(n, [missing[0]] + arcs[1:])
+
+
+def test_transitivity_rejects_a_non_subgroup_and_a_foreign_subgroup():
+    g6 = make_cyclic(6)
+    with pytest.raises(PreconditionError, match="not a subgroup"):
+        verify_translation_transitivity(
+            directed_cycle(3), g6, GroupSubset.from_indices(g6, [0, 1]), 2
+        )
+    d3 = make_dihedral(3)
+    foreign = next(h for h in enumerate_subgroups(d3) if len(h) == 2)
+    with pytest.raises(GroupMismatchError):
+        verify_translation_transitivity(directed_cycle(3), g6, foreign, 1)
+
+
+def test_generator_transitivity_matches_the_full_translation_loop():
+    certified = rejected = 0
+    for group, h, a in _quotient_instances():
+        graph = build_quotient_graph(group, h, a)
+        verdict = verify_translation_transitivity(graph, group, h, a)
+        assert verdict == _transitivity_reference(graph, group, h, a)
+        certified += verdict.passed
+        moved = _moved_arc(graph)
+        if moved is not None:
+            fast = verify_translation_transitivity(moved, group, h, a)
+            slow = _transitivity_reference(moved, group, h, a)
+            assert not fast.passed and not slow.passed
+            assert (fast.regular, fast.degree) == (slow.regular, slow.degree)
+            rejected += 1
+    assert (certified, rejected) == (69, 66)
+
+
+def test_transitivity_checks_every_generator():
+    # Arcs Hx -> Hxg for g the last generator: a regular graph that the
+    # translations by g preserve, and those by the first generator (an
+    # element of H, acting by conjugation) do not.
+    inst = build_example(11, 5)
+    group, h = inst.group, inst.subgroup
+    gens = _light_generators(group.order, group.column)
+    assert len(gens) == 2 and gens[0] in h
+    reps, coset_of = coset_vertices(group, h.mask)
+    step = [coset_of[group.table[rep][gens[-1]]] for rep in reps]
+    graph = graph_from_arcs(len(reps), list(enumerate(step)))
+    fast = verify_translation_transitivity(graph, group, h, inst.a)
+    slow = _transitivity_reference(graph, group, h, inst.a)
+    assert fast.regular and slow.regular and fast.degree == slow.degree == 1
+    assert not slow.passed
+    assert fast.failures == (f"translation by {gens[0]} breaks arcs at vertex 0",)
+
+
+def _sweep_graphs():
+    graphs = [graph for _, graph in sweeps._certified_quotients(20)]
+    graphs += [directed_cycle(n) for n in range(3, 13)]
+    graphs += [bidirected_clique(n) for n in range(3, 7)]
+    graphs += [oriented_octahedron(), oriented_rook()]
+    for p, q in ((7, 3), (11, 5)):
+        inst = build_example(p, q)
+        graphs.append(build_quotient_graph(inst.group, inst.subgroup, inst.a))
+    # Irregular graphs, where the least cuts turn up late: the tally must
+    # reset across chunks and sizes.  The sweep is not exact there, but it
+    # must still equal its reference.
+    rng = random.Random(2024)
+    while len(graphs) < 106:
+        n = rng.randint(6, 11)
+        arcs = {(i, (i + 1) % n) for i in range(n)}
+        arcs |= {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3}
+        graphs.append(graph_from_arcs(n, sorted(arcs)))
+    return graphs
+
+
+@pytest.mark.parametrize("chunk_rows", [digraphs.SWEEP_CHUNK_ROWS, 1, 5])
+def test_chunked_sweep_matches_the_combinations_sweep(monkeypatch, chunk_rows):
+    # Small chunk caps split even these small graphs into many prefixes, so
+    # resets and truncation across chunks are compared too.
+    monkeypatch.setattr(digraphs, "SWEEP_CHUNK_ROWS", chunk_rows)
+    cases = truncated = 0
+    for graph in _sweep_graphs():
+        for k in range(2, graph.vertex_count // 2 + 1):
+            sweep = arc_connectivity(graph, k, arc_transitive=True, exact_cap=2)
+            assert sweep == _sweep_reference(graph, k)
+            truncated += not sweep.atoms_complete
+            cases += 1
+        for k in range(0, min(4, graph.vertex_count) + 1):
+            assert max_induced_arcs(graph, k) == _max_induced_arcs_reference(graph, k)
+    assert (cases, truncated) == (272, 4)
+
+
+def test_chunked_sweep_matches_on_the_family_quotients():
+    # The benchmark's graphs: at k = 3 on SD(47,23) the size-4 cuts come in
+    # chunks.  Every atom list but SD(23,11)'s at k = 2 (253 atoms) is
+    # truncated at CUT_ATOM_CAP, so the visit order is compared too.
+    complete = []
+    for p, q in ((23, 11), (47, 23)):
+        inst = build_example(p, q)
+        graph = build_quotient_graph(inst.group, inst.subgroup, inst.a)
+        for k in (2, 3):
+            sweep = arc_connectivity(graph, k, arc_transitive=True)
+            assert sweep == _sweep_reference(graph, k)
+            complete.append((len(sweep.atoms), sweep.atoms_complete))
+            assert max_induced_arcs(graph, k) == _max_induced_arcs_reference(graph, k)
+    assert complete == [(253, True), (256, False), (256, False), (256, False)]

@@ -3,10 +3,12 @@
 A refactor must leave every ``--format machine`` report byte-identical.
 These digests were recorded from the code before the candidate scans were
 shared; the commands together reach the n > 24 (two-coset certificates)
-and n > 48 (structured hypothesis witnesses) paths.  The three ``quotient``
+and n > 48 (structured hypothesis witnesses) paths.  The four ``quotient``
 reports pin the cut engines' ``arc_cut.*`` lines: the exhaustive scan with a
 complete and with a truncated atom list, and the transitive sweep with a
-truncated one.  The ``group``, ``atoms``, ``classify --set``, ``example``
+truncated one on SD(23,11) and on SD(47,23).  The SD(47,23) digest was
+recorded before the sweep moved from ``itertools.combinations`` to numpy
+chunks; there the size-4 cuts come in chunks.  The ``group``, ``atoms``, ``classify --set``, ``example``
 and ``scan`` digests pin every other command's report, ``config.*`` header
 included (a CASE_I set with translator 1 and a CASE_II set); they were
 recorded before the header moved from a config object onto the parsed
@@ -82,6 +84,9 @@ GOLDEN = {
     ),
     'quotient --semidirect 23 11 --subgroup "0 1 2 3 4 5 6 7 8 9 10" --element 11 --k 3': (
         "7a9ba19cd0e8c56f5c38dc990404ed05f295ae83c524e011530f42281d0a38d0"
+    ),
+    'quotient --semidirect 47 23 --subgroup "0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22" --element 23 --k 3': (
+        "22f10d5e5555dcb881d764af845d42a00bec716eaf258f4d0816b22922a5357a"
     ),
 }
 
