@@ -28,8 +28,8 @@ from .groups import (
     FiniteGroup,
     GroupSubset,
     _light_generators,
+    _require_subgroup,
     double_coset_mask,
-    require_same_group,
     right_coset_mask,
 )
 
@@ -151,12 +151,6 @@ def coset_vertices(group: FiniteGroup, hmask: int) -> tuple[list[int], list[int]
             for y in bit_indices(right_coset_mask(group, hmask, x)):
                 coset_of[y] = idx
     return reps, coset_of
-
-
-def _require_subgroup(group: FiniteGroup, subgroup: GroupSubset) -> None:
-    require_same_group(group, subgroup)
-    if not subgroup.is_subgroup():
-        raise PreconditionError(f"{{{subgroup.to_literal()}}} is not a subgroup")
 
 
 def build_quotient_graph(

@@ -598,9 +598,10 @@ def enumerate_subgroups(group: FiniteGroup) -> list[GroupSubset]:
     return list(result)
 
 
-def _require_subgroup(subset: GroupSubset) -> None:
-    if not subset.is_subgroup():
-        raise PreconditionError(f"{{{subset.to_literal()}}} is not a subgroup")
+def _require_subgroup(group: FiniteGroup, subgroup: GroupSubset) -> None:
+    require_same_group(group, subgroup)
+    if not subgroup.is_subgroup():
+        raise PreconditionError(f"{{{subgroup.to_literal()}}} is not a subgroup")
 
 
 def right_coset_mask(group: FiniteGroup, hmask: int, x: int) -> int:
@@ -643,8 +644,8 @@ def right_coset_decomposition(
     group: FiniteGroup, subset: GroupSubset, subgroup: GroupSubset
 ) -> list[GroupSubset]:
     """Partition X into its nonempty slices X ∩ Hx, ordered by smallest element."""
-    require_same_group(group, subset, subgroup)
-    _require_subgroup(subgroup)
+    require_same_group(group, subset)
+    _require_subgroup(group, subgroup)
     parts = []
     remaining = subset.mask
     while remaining:
@@ -663,7 +664,7 @@ def restrict_to_subgroup(
     Entry i of the returned list is the ambient index of the new element i;
     the subgroup's smallest element (the identity) maps to index 0.
     """
-    _require_subgroup(subgroup)
+    _require_subgroup(group, subgroup)
     elems = list(subgroup.indices())
     pos = {e: i for i, e in enumerate(elems)}
     table = [[pos[group.table[a][b]] for b in elems] for a in elems]

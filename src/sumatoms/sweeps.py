@@ -11,10 +11,12 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
+from .bitset import permute_mask
 from .catalog import GroupSpec, build_group, catalog_specs
 from .classify import (
     Case,
@@ -40,7 +42,7 @@ from .digraphs import (
     oriented_rook,
     verify_translation_transitivity,
 )
-from .errors import PreconditionError, SizeCapError
+from .errors import EngineMismatchError, PreconditionError, SizeCapError
 from .family import build_example, sophie_germain_scan
 from .groups import (
     FiniteGroup,
@@ -176,10 +178,10 @@ def _class_keys(translates: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return least
 
 
-def _subset_orbits(group: FiniteGroup, generating: bool) -> Iterator[tuple[int, int]]:
-    """Each mask of :func:`_mask_blocks`, ascending, with its orbit key: the
-    least class key in its orbit under S -> phi(g S h), g, h in G and phi
-    in Aut(G).
+def _subset_orbits(group: FiniteGroup, generating: bool) -> Iterator[tuple[int, int, Callable]]:
+    """Each orbit of the masks of :func:`_mask_blocks` under S -> phi(g S h),
+    g, h in G and phi in Aut(G), by ascending key: the key (the orbit's least
+    class key), the size, and a function listing the masks in ascending order.
 
     A class (the right translates of a set) goes under phi to a class, and
     gS = (g S g^-1) g lies in the class of an inner image; so the orbits are
@@ -190,22 +192,32 @@ def _subset_orbits(group: FiniteGroup, generating: bool) -> Iterator[tuple[int, 
     label, its image's label and its label's label, until none changes.
     As the images run through whole cycles, the label is then the least
     index, so the least key, of its orbit.  Memory holds the class keys and
-    one block, so two passes are made over the blocks.
+    one block.  A class's masks are the right translates cx of its key c
+    (those with 1 when generating): |G|/|F| of them for F = {x : cx = c},
+    and |c|/|F| with 1, since cx holds 1 exactly on c^-1 = F c^-1.
+
+    The key's outcome holds for every member by elementary facts, not by
+    the theorems under test.  For S' = phi(gSh), X -> phi(X g^-1) keeps |X|
+    and maps XS to phi(XSh), so it carries boundary witnesses (a left
+    translate of one is one, so it may contain 1), fragments and atoms of S
+    to those of S' of the same sizes, and as many atoms contain 1 (they are
+    closed under left translation).  Generation passes on, and S'^-1 lies
+    in the orbit of S^-1.  So a sweep decides the key once and counts it
+    ``size`` times; it lists the members only for a failing orbit.
     """
     translates = _translate_images(group)
-    classes = np.unique(
-        np.concatenate(
-            [np.unique(_class_keys(translates, m)) for m in _mask_blocks(group, generating)]
-        )
-    )
+    scan = (np.unique(_class_keys(translates, m)) for m in _mask_blocks(group, generating))
+    classes = np.unique(np.concatenate(list(scan)))
     slices = _byte_slices(classes, translates.shape[1])
+    fixed = sum(_image(t, slices) == classes for t in translates)
+    class_sizes = (np.bitwise_count(classes) if generating else group.order) // fixed
     perms = np.array(automorphism_generators(group), dtype=np.intp).reshape(-1, group.order)
     moves = []
     for images in _byte_images(perms):
         moved = _class_keys(translates, _image(images, slices))
         target = np.minimum(np.searchsorted(classes, moved), len(classes) - 1)
         if not np.array_equal(classes[target], moved):
-            raise RuntimeError(f"{group.name}: an automorphism left the enumerated classes")
+            raise EngineMismatchError(f"{group.name}: an automorphism left the scanned classes")
         moves.append(target)
     label = np.arange(len(classes))
     while True:
@@ -215,36 +227,31 @@ def _subset_orbits(group: FiniteGroup, generating: bool) -> Iterator[tuple[int, 
         label = label[label]
         if np.array_equal(label, before):
             break
-    orbit_keys = classes[label]
-    for masks in _mask_blocks(group, generating):
-        keys = orbit_keys[np.searchsorted(classes, _class_keys(translates, masks))]
-        yield from zip(masks.tolist(), keys.tolist())
+    sizes = np.bincount(label, weights=class_sizes).astype(np.int64)
 
+    def members(root: int) -> list[int]:
+        keys = classes[label == root].tolist()
+        found = sorted({permute_mask(c, group.column(x)) for c in keys for x in range(group.order)})
+        if generating:
+            found = [m for m in found if m & 1]
+        if len(found) != sizes[root]:
+            raise EngineMismatchError(
+                f"{group.name}: orbit {classes[root]} has {len(found)} masks, not {sizes[root]}"
+            )
+        return found
 
-def _orbit_outcomes(
-    group: FiniteGroup, generating: bool, decide: Callable[[GroupSubset], T]
-) -> Iterator[tuple[int, T]]:
-    """Each mask of :func:`_subset_orbits`, ascending, with ``decide`` of its
-    orbit key, called once per key; sweeps count it for every member.
-
-    The key's outcome holds for every member by elementary facts, not by
-    the theorems under test.  For S' = phi(gSh), X -> phi(X g^-1) keeps |X|
-    and maps XS to phi(XSh), so it carries boundary witnesses (a left
-    translate of one is one, so it may contain 1), fragments and atoms of S
-    to those of S' of the same sizes, and as many atoms contain 1 (they are
-    closed under left translation).  Generation passes on, and S'^-1 lies
-    in the orbit of S^-1.  ``decide`` returns plain values: a cached set
-    would keep its translate masks alive for every orbit.
-    """
-    outcomes: dict[int, T] = {}
-    for smask, key in _subset_orbits(group, generating):
-        if key not in outcomes:
-            outcomes[key] = decide(GroupSubset(group, key))
-        yield smask, outcomes[key]
+    for root in np.flatnonzero(label == np.arange(len(classes))).tolist():
+        yield int(classes[root]), int(sizes[root]), partial(members, root)
 
 
 def _member(spec: GroupSpec, group: FiniteGroup, smask: int) -> str:
     return f"{spec.name} S={GroupSubset(group, smask).to_literal()}"
+
+
+def _by_mask(flagged: list[tuple[int, str]]) -> tuple[str, ...]:
+    """The failure lines of (member mask, line) pairs by ascending mask; the
+    sort is stable, so the lines of one member keep their order."""
+    return tuple(line for _, line in sorted(flagged, key=lambda f: f[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -278,30 +285,27 @@ class SweepResult:
 
 def _main_theorem_group(spec: GroupSpec) -> MainTheoremRow:
     """The main-theorem row of one group, classified once per orbit
-    (:func:`_orbit_outcomes`).  Progressions map to progressions: if kS is
+    (:func:`_subset_orbits`).  Progressions map to progressions: if kS is
     one, so are (k g^-1)(gS) = kS, (h^-1 k)(Sh) = h^-1 (kS) h and
     phi(k)phi(S); a subgroup cover H, a double-coset pair H u Ha and the
     S^-1 side map to conjugates or images of the same sizes.
     """
     group = build_group(spec)
     n = group.order
-
-    def decide(s: GroupSubset) -> tuple[Case, bool]:
-        result = classify(group, s)
-        return result.case, result.verified
-
     generating = 0
     cases = {Case.CASE_I: 0, Case.CASE_II: 0, Case.CASE_III: 0}
-    violations: list[str] = []
-    unverified: list[str] = []
-    for smask, (case, verified) in _orbit_outcomes(group, True, decide):
-        generating += 1
-        if case in cases:
-            cases[case] += 1
-            if not verified:
-                unverified.append(_member(spec, group, smask))
-        elif case is not Case.HYPOTHESIS_FAILS:
-            violations.append(f"{_member(spec, group, smask)} -> {case.value}")
+    violations: list[tuple[int, str]] = []
+    unverified: list[tuple[int, str]] = []
+    for key, size, members in _subset_orbits(group, True):
+        result = classify(group, GroupSubset(group, key))
+        generating += size
+        if result.case in cases:
+            cases[result.case] += size
+            if not result.verified:
+                unverified.extend((m, _member(spec, group, m)) for m in members())
+        elif result.case is not Case.HYPOTHESIS_FAILS:
+            case = result.case.value
+            violations.extend((m, f"{_member(spec, group, m)} -> {case}") for m in members())
     return MainTheoremRow(
         group=spec.name,
         order=n,
@@ -311,8 +315,8 @@ def _main_theorem_group(spec: GroupSpec) -> MainTheoremRow:
         case_i=cases[Case.CASE_I],
         case_ii=cases[Case.CASE_II],
         case_iii=cases[Case.CASE_III],
-        violations=tuple(violations),
-        unverified=tuple(unverified),
+        violations=_by_mask(violations),
+        unverified=_by_mask(unverified),
     )
 
 
@@ -429,28 +433,24 @@ def _t_enumeration(group: FiniteGroup, smask: int) -> bool:
 
 def _mann_group(spec: GroupSpec) -> MannRow:
     """The Mann row of one group, decided once per orbit
-    (:func:`_orbit_outcomes`).  A subgroup H that covers S maps to a
+    (:func:`_subset_orbits`).  A subgroup H that covers S maps to a
     conjugate or image of the same size that covers S'.
     """
     group = build_group(spec)
-
-    def decide(s: GroupSubset) -> tuple[bool, bool, bool]:
-        verdict = verify_mann(group, s)
-        return verdict.hypothesis, verdict.consistent, _t_enumeration(group, s.mask)
-
     subsets = hyp_true = 0
-    disagreements: list[str] = []
-    missing: list[str] = []
-    for smask, (hypothesis, consistent, brute) in _orbit_outcomes(group, False, decide):
-        subsets += 1
-        hyp_true += hypothesis
-        if hypothesis != brute:
-            disagreements.append(
-                f"{_member(spec, group, smask)}: kappa-form {hypothesis}, scan {brute}"
-            )
-        if hypothesis and not consistent:
-            missing.append(_member(spec, group, smask))
-    return MannRow(spec.name, subsets, hyp_true, tuple(disagreements), tuple(missing))
+    disagreements: list[tuple[int, str]] = []
+    missing: list[tuple[int, str]] = []
+    for key, size, members in _subset_orbits(group, False):
+        verdict = verify_mann(group, GroupSubset(group, key))
+        brute = _t_enumeration(group, key)
+        subsets += size
+        hyp_true += size * verdict.hypothesis
+        if verdict.hypothesis != brute:
+            verdicts = f"kappa-form {verdict.hypothesis}, scan {brute}"
+            disagreements.extend((m, f"{_member(spec, group, m)}: {verdicts}") for m in members())
+        if verdict.hypothesis and not verdict.consistent:
+            missing.extend((m, _member(spec, group, m)) for m in members())
+    return MannRow(spec.name, subsets, hyp_true, _by_mask(disagreements), _by_mask(missing))
 
 
 def sweep_mann(max_order: int = 12, *, workers: int = 1) -> SweepResult:
@@ -525,16 +525,19 @@ def _intersection_checks(subset: GroupSubset) -> tuple[int, int, int, tuple[str,
 
 def _intersection_group(spec: GroupSpec) -> IntersectionRow:
     """The intersection row of one group, checked once per orbit
-    (:func:`_orbit_outcomes`).  The level-1 atom A of S containing 1 maps to
+    (:func:`_subset_orbits`).  The level-1 atom A of S containing 1 maps to
     phi(g A g^-1), that of S', so level-1 atoms map to conjugate subgroups.
     """
     group = build_group(spec)
     counts = [0, 0, 0]  # pairwise, fragment and subgroup checks
-    failures: list[str] = []
-    for smask, (*checked, kinds) in _orbit_outcomes(group, True, _intersection_checks):
-        counts = [total + c for total, c in zip(counts, checked)]
-        failures.extend(f"{kind}: {_member(spec, group, smask)}" for kind in kinds)
-    return IntersectionRow(spec.name, *counts, tuple(failures))
+    failures: list[tuple[int, str]] = []
+    for key, size, members in _subset_orbits(group, True):
+        *checked, kinds = _intersection_checks(GroupSubset(group, key))
+        counts = [total + size * c for total, c in zip(counts, checked)]
+        if kinds:
+            lines = ((m, f"{kind}: {_member(spec, group, m)}") for m in members() for kind in kinds)
+            failures.extend(lines)
+    return IntersectionRow(spec.name, *counts, _by_mask(failures))
 
 
 def sweep_intersection(max_order: int = 12, *, workers: int = 1) -> SweepResult:

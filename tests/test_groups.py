@@ -9,6 +9,7 @@ import pytest
 
 from sumatoms import (
     FiniteGroup,
+    GroupMismatchError,
     GroupSubset,
     ParseError,
     PreconditionError,
@@ -510,6 +511,15 @@ def test_restrict_to_subgroup():
     sub, elems = restrict_to_subgroup(g6, h)
     assert sub.order == 3 and elems == [0, 2, 4]
     assert sub.table[1][2] == 0  # 2 + 4 = 0 in the ambient group
+
+
+@pytest.mark.parametrize("literal", ["0 1 2", "0 3"])
+def test_restrict_to_subgroup_refuses_a_subgroup_of_another_group(literal):
+    # Both are subgroups of D3; as masks, {0 1 2} is no subgroup of C6 and
+    # {0 3} is one.
+    h = GroupSubset.from_literal(make_dihedral(3), literal)
+    with pytest.raises(GroupMismatchError):
+        restrict_to_subgroup(make_cyclic(6), h)
 
 
 def test_subset_basics():

@@ -10,13 +10,18 @@ was before it decided once per orbit: one hypothesis walk per class and one
 ``reference_intersection_group`` are the Mann and intersection sweeps as
 they were before they decided once per orbit: ``verify_mann`` on every
 subset, and every check of the intersection sweep on every generating set.
+``reference_subset_orbits`` is the orbit enumerator as it was before it
+counted each orbit's members: a second block scan that pairs every mask
+with its orbit key.
 """
 
 import dataclasses
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from sumatoms import SizeCapError, make_cyclic, sweeps
+from sumatoms import SizeCapError, cli, make_cyclic, sweeps
 from sumatoms.bitset import bit_indices, indices_tuple, permute_mask
 from sumatoms.catalog import build_group, catalog_specs
 from sumatoms.classify import Case, entry, hypothesis_holds
@@ -30,8 +35,11 @@ from sumatoms.sumsets import (
     find_atoms,
 )
 from sumatoms.sweeps import (
+    _byte_images,
+    _byte_slices,
     _class_keys,
     _generating_masks,
+    _image,
     _mask_blocks,
     _straddles,
     _subset_orbits,
@@ -240,12 +248,71 @@ def brute_orbit_keys(group):
     return keys
 
 
+def reference_subset_orbits(group, generating):
+    """Each mask of the block-wise scan, ascending, with its orbit key: the
+    same union-find over the class keys, then a second scan of the blocks."""
+    translates = _translate_images(group)
+    classes = np.unique(
+        np.concatenate(
+            [np.unique(_class_keys(translates, m)) for m in _mask_blocks(group, generating)]
+        )
+    )
+    slices = _byte_slices(classes, translates.shape[1])
+    perms = np.array(automorphism_generators(group), dtype=np.intp).reshape(-1, group.order)
+    moves = []
+    for images in _byte_images(perms):
+        moved = _class_keys(translates, _image(images, slices))
+        target = np.minimum(np.searchsorted(classes, moved), len(classes) - 1)
+        assert np.array_equal(classes[target], moved), group.name
+        moves.append(target)
+    label = np.arange(len(classes))
+    while True:
+        before = label
+        for target in moves:
+            label = np.minimum(label, label[target])
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    orbit_keys = classes[label]
+    for masks in _mask_blocks(group, generating):
+        keys = orbit_keys[np.searchsorted(classes, _class_keys(translates, masks))]
+        yield from zip(masks.tolist(), keys.tolist())
+
+
+def reference_orbits(group, generating):
+    """The reference's members of each orbit key, ascending."""
+    orbits = {}
+    for smask, key in reference_subset_orbits(group, generating):
+        orbits.setdefault(key, []).append(smask)
+    return orbits
+
+
 def test_orbit_keys_match_brute_force_up_to_order_12():
     for spec in catalog_specs(12):
         group = build_group(spec)
         keys = brute_orbit_keys(group)
         expected = [(m, keys[m]) for m in _generating_masks(group)]
-        assert list(_subset_orbits(group, True)) == expected, spec.name
+        assert list(reference_subset_orbits(group, True)) == expected, spec.name
+        sizes = sorted(Counter(keys.values()).items())
+        assert [(key, size) for key, size, _ in _subset_orbits(group, True)] == sizes, spec.name
+
+
+@pytest.mark.parametrize("generating", [True, False])
+def test_orbit_keys_and_sizes_match_the_reference_up_to_order_12(generating):
+    for spec in catalog_specs(12):
+        group = build_group(spec)
+        expected = [(key, len(ms)) for key, ms in sorted(reference_orbits(group, generating).items())]
+        got = [(key, size) for key, size, _ in _subset_orbits(group, generating)]
+        assert got == expected, spec.name
+
+
+@pytest.mark.parametrize("generating", [True, False])
+def test_orbit_members_match_the_reference_up_to_order_10(generating):
+    for spec in catalog_specs(10):
+        group = build_group(spec)
+        expected = reference_orbits(group, generating)
+        got = {key: members() for key, _, members in _subset_orbits(group, generating)}
+        assert got == expected, spec.name
 
 
 # Generating subsets with 1, and their G x G x Aut(G) orbits, at order 16.
@@ -260,8 +327,20 @@ ORBIT_COUNTS = {
 @pytest.mark.parametrize("name", sorted(ORBIT_COUNTS))
 def test_orbit_counts_at_order_16(name):
     (spec,) = [s for s in catalog_specs(16) if s.name == name]
-    pairs = list(_subset_orbits(build_group(spec), True))
-    assert (len(pairs), len({key for _, key in pairs})) == ORBIT_COUNTS[name]
+    sizes = [size for _, size, _ in _subset_orbits(build_group(spec), True)]
+    assert (sum(sizes), len(sizes)) == ORBIT_COUNTS[name]
+
+
+def test_a_map_that_leaves_the_classes_is_an_engine_mismatch(monkeypatch, capsys):
+    # (0 2 1 3) is no automorphism of C4: it maps the generator 1 to 2.
+    found = sweeps.automorphism_generators
+    monkeypatch.setattr(
+        sweeps,
+        "automorphism_generators",
+        lambda group: [(0, 2, 1, 3)] if group.name == "C4" else found(group),
+    )
+    assert cli.main(["verify", "main-theorem", "--max-order", "4"]) == cli.EXIT_ORACLE_MISMATCH == 2
+    assert capsys.readouterr().err.startswith("error: C4: an automorphism left")
 
 
 def _flagging(members, failure):
@@ -283,9 +362,7 @@ def _flagging(members, failure):
 def test_a_failing_orbit_lists_every_member_like_the_reference(monkeypatch, failure):
     (spec,) = [s for s in catalog_specs(10) if s.name == "D5"]
     group = build_group(spec)
-    orbits = {}
-    for smask, key in _subset_orbits(group, True):
-        orbits.setdefault(key, []).append(smask)
+    orbits = reference_orbits(group, True)
     # The largest orbit whose key satisfies the hypothesis; it spans classes.
     holding = [k for k in orbits if hypothesis_holds(group, GroupSubset(group, k)).holds]
     key = max(holding, key=lambda k: (len(orbits[k]), -k))
@@ -315,7 +392,7 @@ def reference_mann_group(spec):
     subsets = hyp_true = 0
     disagreements = []
     missing = []
-    for smask, key in _subset_orbits(group, False):
+    for smask, key in reference_subset_orbits(group, False):
         subsets += 1
         subset = GroupSubset(group, smask)
         verdict = sweeps.verify_mann(group, subset)
@@ -459,3 +536,23 @@ def test_a_level_1_atom_failure_lists_every_member_like_the_reference(monkeypatc
         assert tuple(f for f in row.failures if f.startswith(kind)) == flagged, spec.name
         listed += len(checked)
     assert listed > 0
+
+
+def test_an_intersection_orbit_with_two_kinds_lists_them_member_major(monkeypatch):
+    (spec,) = [s for s in catalog_specs(10) if s.name == "D5"]
+    group = build_group(spec)
+    orbits = reference_orbits(group, True)
+    key = max(orbits, key=lambda k: (len(orbits[k]), -k))
+    assert len({reference_class_mask(group, m) for m in orbits[key]}) > 1
+    kinds = ("second kind", "first kind")  # not in sorted order
+    checks = sweeps._intersection_checks
+
+    def patched(s):
+        *checked, found = checks(s)
+        return (*checked, found + kinds if s.mask == key else found)
+
+    monkeypatch.setattr(sweeps, "_intersection_checks", patched)
+    row = sweeps._intersection_group(spec)
+    assert row.failures == tuple(
+        f"{kind}: D5 S={GroupSubset(group, m).to_literal()}" for m in orbits[key] for kind in kinds
+    )
