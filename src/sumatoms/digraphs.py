@@ -11,6 +11,7 @@ is exact on arc-transitive graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator, Optional
@@ -72,6 +73,15 @@ class DirectedGraph:
             for v in bit_indices(m):
                 ins[v] |= 1 << u
         return tuple(ins)
+
+    @cached_property
+    def lambda1_flows(self) -> tuple[int, tuple[int, ...]]:
+        """(lambda_1, the cut sides found) from :func:`_flow_lambda1`.
+
+        Its 2(n - 1) max flows run once per graph object; like a set's
+        translate masks, the result is not a field.
+        """
+        return _flow_lambda1(self)
 
 
 def graph_from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> DirectedGraph:
@@ -368,7 +378,7 @@ def _max_flow(out_masks: tuple[int, ...], sources: int, sinks: int) -> tuple[int
         value += 1
 
 
-def _flow_lambda1(graph: DirectedGraph) -> tuple[int, list[int]]:
+def _flow_lambda1(graph: DirectedGraph) -> tuple[int, tuple[int, ...]]:
     """Global minimum arc cut by flows pinned at vertex 0, plus cut sides found."""
     n = graph.vertex_count
     best = None
@@ -381,7 +391,7 @@ def _flow_lambda1(graph: DirectedGraph) -> tuple[int, list[int]]:
                 sides = [side]
             elif value == best and side not in sides:
                 sides.append(side)
-    return best, sides
+    return best, tuple(sides)
 
 
 def arc_connectivity_flow(graph: DirectedGraph, k: int) -> int:
@@ -395,8 +405,7 @@ def arc_connectivity_flow(graph: DirectedGraph, k: int) -> int:
     n = graph.vertex_count
     _require_k_separable(graph, k)
     if k == 1:
-        value, _ = _flow_lambda1(graph)
-        return value
+        return graph.lambda1_flows[0]
     pairs = comb(n, k) * comb(n - k, k)
     if pairs > FLOW_WORK_CAP:
         raise GraphTooLargeError(
@@ -551,7 +560,7 @@ def arc_connectivity(
     n = graph.vertex_count
     _require_k_separable(graph, k)
     if k == 1:
-        lam, sides = _flow_lambda1(graph)
+        lam, sides = graph.lambda1_flows
         if n <= exact_cap:
             enum = arc_connectivity_exhaustive(graph, 1)
             if enum.lam != lam:

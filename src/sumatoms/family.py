@@ -183,10 +183,11 @@ def verify_example(inst: ExampleInstance) -> tuple[TranscriptEntry, ...]:
     agree = True
     bmask = inst.removed.mask
     bsize = bmask.bit_count()
+    s_translates = inst.subset.xs_masks
+    b_translates = inst.removed.xs_masks
     for r in range(1, n):
-        row = group.table[r]
-        gap_s = (smask | permute_mask(smask, row)).bit_count() - ssize
-        gap_b = (bmask | permute_mask(bmask, row)).bit_count() - bsize
+        gap_s = (smask | s_translates[r]).bit_count() - ssize
+        gap_b = (bmask | b_translates[r]).bit_count() - bsize
         agree = agree and gap_s == gap_b
         min_gap_s = gap_s if min_gap_s is None else min(min_gap_s, gap_s)
         min_gap_b = gap_b if min_gap_b is None else min(min_gap_b, gap_b)

@@ -132,13 +132,16 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     ``table[i][j]`` is the index of the product of elements i and j; the
-    identity is element 0.  Instances are immutable after construction and
-    safe to share between threads or worker processes.
+    identity is element 0.  ``table_array`` is the same table as a read-only
+    numpy array of the smallest unsigned dtype that holds n - 1.  Instances
+    are immutable after construction and safe to share between threads or
+    worker processes.
     """
 
     __slots__ = (
         "order",
         "table",
+        "table_array",
         "inverse",
         "labels",
         "name",
@@ -162,9 +165,12 @@ class FiniteGroup:
         if n > cap:
             raise SizeCapError(f"group order {n} exceeds cap {cap}")
         self.order = n
+        arr = _validate_table(table)
         # Rows share the n int objects 0..n-1; a plain ``tolist`` would make
         # n^2 fresh ints (37 MB at n = 1081) next to the validated array.
-        self.table = np.array(range(n), dtype=object)[_validate_table(table)].tolist()
+        self.table = np.array(range(n), dtype=object)[arr].tolist()
+        self.table_array = arr.astype(np.min_scalar_type(n - 1))
+        self.table_array.flags.writeable = False
         self.inverse = [row.index(IDENTITY) for row in self.table]
         if labels is not None and len(labels) != n:
             raise ValidationError(f"{len(labels)} labels for {n} elements")
@@ -298,8 +304,7 @@ class GroupSubset:
     @cached_property
     def xs_masks(self) -> list[int]:
         """``xs_masks[x]`` is the mask of x*S."""
-        table = self.group.table
-        return [permute_mask(self.mask, table[x]) for x in range(self.group.order)]
+        return translate_masks(self.group, self.mask)
 
     @cached_property
     def neighbor_masks(self) -> list[int]:
@@ -309,8 +314,7 @@ class GroupSubset:
         whose product sets overlap are neighbors.
         """
         shared = product_mask(self.group, self.mask, self.inverse_set().mask)
-        table = self.group.table
-        return [permute_mask(shared, table[x]) & ~(1 << x) for x in range(self.group.order)]
+        return [m & ~(1 << x) for x, m in enumerate(translate_masks(self.group, shared))]
 
     def product(self, ymask: int) -> int:
         """Mask of Y*S, the union of the translates y*S for y in Y.
@@ -341,6 +345,28 @@ def require_same_group(group: FiniteGroup, *subsets: GroupSubset) -> FiniteGroup
     if any(s.group is not group for s in subsets):
         raise GroupMismatchError("operands belong to different groups")
     return group
+
+
+def translate_masks(group: FiniteGroup, mask: int) -> list[int]:
+    """The masks of the left translates x*M for x = 0..n-1, in one numpy scatter.
+
+    Row x of the table maps M to x*M.  The scatter works on the smaller of M
+    and its complement, as :func:`permute_mask` does: a bijection maps the
+    complement of a set to the complement of its image.  Each row's bits are
+    packed into ceil(n/8) little-endian bytes and read back as one int.
+    The empty set and G, whose smaller side is empty, are their own
+    translates and need no scatter.
+    """
+    n = group.order
+    full = (1 << n) - 1 if mask.bit_count() * 2 > n else 0
+    if mask == full:
+        return [mask] * n
+    width = -(-n // 8)
+    bits = np.zeros((n, 8 * width), dtype=bool)
+    columns = group.table_array.take(list(bit_indices(mask ^ full)), axis=1)
+    bits[np.arange(n)[:, None], columns] = True
+    rows = np.packbits(bits, bitorder="little").view(f"V{width}").tolist()
+    return [int.from_bytes(row, "little") ^ full for row in rows]
 
 
 def product_mask(group: FiniteGroup, xmask: int, ymask: int) -> int:
@@ -565,13 +591,17 @@ def enumerate_subgroups(group: FiniteGroup) -> list[GroupSubset]:
 
     Works by closing single-generator extensions of already-found subgroups,
     starting at the trivial subgroup.  A Lagrange argument skips closures
-    whose result is forced to be the whole group: the extension's order is a
-    multiple of lcm(|H|, ord(g)) dividing |G|.
+    whose result is forced to be the whole group: the extension's order
+    exceeds |H|, divides |G| and is a multiple of lcm(|H|, ord(g)), so
+    <H, g> = G when |G| is the only such number.  The test depends only on
+    (|H|, ord(g)), so it is decided once per pair.
     """
     if group._subgroups is not None:
         return list(group._subgroups)
     n = group.order
     divisors = [d for d in range(1, n + 1) if n % d == 0]
+    orders = [group.element_order(g) for g in range(n)]
+    forcing: dict[int, set[int]] = {}  # |H| -> the ord(g) that force <H, g> = G
     full = (1 << n) - 1
     trivial = 1 << IDENTITY
     found: dict[int, tuple[int, ...]] = {trivial: ()}
@@ -580,12 +610,17 @@ def enumerate_subgroups(group: FiniteGroup) -> list[GroupSubset]:
         h = work.popleft()
         gens = found[h]
         hsize = h.bit_count()
+        if hsize not in forcing:
+            forcing[hsize] = {
+                order
+                for order in set(orders)
+                if [d for d in divisors if d > hsize and d % math.lcm(hsize, order) == 0] == [n]
+            }
+        forced = forcing[hsize]
         for g in range(1, n):
             if h >> g & 1:
                 continue
-            step = math.lcm(hsize, group.element_order(g))
-            candidates = [d for d in divisors if d > hsize and d % step == 0]
-            if candidates == [n]:
+            if orders[g] in forced:
                 m = full
             else:
                 m = closure_mask(group, gens + (g,))

@@ -164,7 +164,7 @@ def _byte_slices(masks: np.ndarray, nbytes: int) -> list[np.ndarray]:
 def _translate_images(group: FiniteGroup) -> np.ndarray:
     """The byte images of x -> x*s^-1, for each s."""
     _require_mask_width(group)
-    return _byte_images(np.asarray(group.table)[:, group.inverse].T)
+    return _byte_images(group.table_array[:, group.inverse].T)
 
 
 def _class_keys(translates: np.ndarray, masks: np.ndarray) -> np.ndarray:

@@ -206,6 +206,29 @@ def test_engine_disagreement_is_typed(monkeypatch):
         arc_connectivity(directed_cycle(5), 1)
 
 
+@pytest.mark.parametrize("p, q", [(7, 3), (23, 11)])
+def test_lambda1_flows_run_once_per_graph(monkeypatch, p, q):
+    # SD(7,3)'s quotient takes the flow+enumeration route, SD(23,11)'s the
+    # flow route; either way the atom check reuses the caller's flows.
+    real = digraphs._flow_lambda1
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(digraphs, "_flow_lambda1", counting)
+    inst = build_example(p, q)
+    graph = build_quotient_graph(inst.group, inst.subgroup, inst.a)
+    report = arc_connectivity(graph, 1)
+    verdict = arc_atom_cardinality_check(graph, 1)
+    assert arc_connectivity_flow(graph, 1) == report.lam == verdict.lam == q
+    assert calls == [graph]
+    assert graph.lambda1_flows == real(graph)
+    arc_connectivity(build_quotient_graph(inst.group, inst.subgroup, inst.a), 1)
+    assert len(calls) == 2  # an equal graph is another object with its own flows
+
+
 def test_graph_sweep_checks_the_large_graph_routes(monkeypatch):
     # Every sweep graph has at most 12 vertices; its production call must
     # still take the flow and transitive-sweep routes, so that the exhaustive

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import random
 import weakref
 
@@ -36,6 +37,7 @@ from sumatoms.groups import (
     double_coset_mask,
     double_coset_pairs,
     product_mask,
+    translate_masks,
 )
 
 # SHA-256 over (name, table, inverse, labels) of the catalog groups up to
@@ -334,6 +336,69 @@ def test_product_mask_matches_the_full_union_on_the_family():
             assert product_mask(group, xmask, ymask) == expected
 
 
+def _translates_reference(group, mask):
+    """One :func:`permute_mask` call per table row."""
+    return [permute_mask(mask, row) for row in group.table]
+
+
+def _kernel_masks(n, rng):
+    """The empty set, {1}, G, the masks of floor(n/2) and floor(n/2) + 1
+    bits on either side of the complement rule, and seeded sparse and dense
+    sets."""
+    masks = [0, 1, (1 << n) - 1]
+    for size in (n // 2, n // 2 + 1, max(1, n // 10), n - max(1, n // 10)):
+        masks += [mask_from_indices(rng.sample(range(n), size)) for _ in range(2)]
+    return masks
+
+
+def _kernel_groups():
+    yield from (build_group(spec) for spec in catalog_specs(20))
+    yield make_semidirect(23, 11)
+
+
+def test_translate_masks_match_the_per_row_reference():
+    rng = random.Random(27)
+    orders = set()
+    for group in _kernel_groups():
+        orders.add(group.order)
+        for mask in _kernel_masks(group.order, rng):
+            assert translate_masks(group, mask) == _translates_reference(group, mask), (
+                group.name,
+                mask,
+            )
+    assert {n % 8 for n in orders} == set(range(8))
+
+
+def test_translate_masks_match_the_per_row_reference_at_order_1081():
+    inst = build_example(47, 23)
+    group = inst.group
+    assert group.table_array.dtype == np.uint16
+    # The family's S and B stand in for the seeded dense and sparse sets.
+    masks = _kernel_masks(group.order, random.Random(1081))[:7]
+    for mask in masks + [inst.subset.mask, inst.removed.mask]:
+        assert translate_masks(group, mask) == _translates_reference(group, mask)
+
+
+def test_table_array_is_the_read_only_table():
+    for group in [make_cyclic(1), make_cyclic(256), make_cyclic(257), make_semidirect(7, 3)]:
+        arr = group.table_array
+        assert arr.dtype == (np.uint8 if group.order <= 256 else np.uint16)
+        assert arr.tolist() == group.table
+        assert not arr.flags.writeable
+
+
+def test_neighbor_masks_match_the_per_row_reference():
+    rng = random.Random(28)
+    for group in _kernel_groups():
+        n = group.order
+        table = group.table
+        for mask in _kernel_masks(n, rng):
+            s = GroupSubset(group, mask)
+            shared = product_mask(group, mask, s.inverse_set().mask)
+            expected = [permute_mask(shared, table[x]) & ~(1 << x) for x in range(n)]
+            assert s.neighbor_masks == expected, (group.name, mask)
+
+
 def _closure_reference(group, generators):
     """Closure of the identity under the generators and their inverses."""
     gens = set(generators)
@@ -403,6 +468,35 @@ def test_enumerate_subgroups_lagrange_and_closure():
         # canonical order: size then lexicographic index sequence
         keys = [(len(h), h.indices()) for h in subgroups]
         assert keys == sorted(keys)
+
+
+def _subgroups_reference(group):
+    """The subgroup search with its Lagrange test redone for every (H, g)."""
+    n = group.order
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    found = {1: ()}
+    work = [1]
+    while work:
+        h = work.pop(0)
+        gens = found[h]
+        hsize = h.bit_count()
+        for g in range(1, n):
+            if h >> g & 1:
+                continue
+            step = math.lcm(hsize, group.element_order(g))
+            candidates = [d for d in divisors if d > hsize and d % step == 0]
+            m = (1 << n) - 1 if candidates == [n] else closure_mask(group, gens + (g,))
+            if m not in found:
+                found[m] = gens + (g,)
+                work.append(m)
+    return sorted(found, key=lambda m: (m.bit_count(), tuple(bit_indices(m))))
+
+
+def test_enumerate_subgroups_matches_the_per_pair_lagrange_loop():
+    groups = [build_group(spec) for spec in catalog_specs(24)] + [make_semidirect(23, 11)]
+    for group in groups:
+        expected = _subgroups_reference(group)
+        assert [h.mask for h in enumerate_subgroups(group)] == expected, group.name
 
 
 def test_double_coset_size():
