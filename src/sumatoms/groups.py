@@ -179,7 +179,10 @@ class FiniteGroup:
         self._columns: Optional[list[list[int]]] = None
         self._elem_orders: Optional[list[int]] = None
         self._abelian: Optional[bool] = None
-        self._subgroups: Optional[list["GroupSubset"]] = None
+        # Subgroup masks, not GroupSubset objects: a subset holds its group,
+        # so caching subsets here would make a reference cycle that keeps a
+        # dropped group's tables alive until the next full garbage collection.
+        self._subgroups: Optional[tuple[int, ...]] = None
 
     def label(self, a: int) -> str:
         if self.labels is None:
@@ -597,7 +600,7 @@ def enumerate_subgroups(group: FiniteGroup) -> list[GroupSubset]:
     (|H|, ord(g)), so it is decided once per pair.
     """
     if group._subgroups is not None:
-        return list(group._subgroups)
+        return [GroupSubset(group, m) for m in group._subgroups]
     n = group.order
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     orders = [group.element_order(g) for g in range(n)]
@@ -627,10 +630,8 @@ def enumerate_subgroups(group: FiniteGroup) -> list[GroupSubset]:
             if m not in found:
                 found[m] = gens + (g,)
                 work.append(m)
-    masks = sorted(found, key=_subgroup_sort_key)
-    result = [GroupSubset(group, m) for m in masks]
-    group._subgroups = result
-    return list(result)
+    group._subgroups = tuple(sorted(found, key=_subgroup_sort_key))
+    return [GroupSubset(group, m) for m in group._subgroups]
 
 
 def _require_subgroup(group: FiniteGroup, subgroup: GroupSubset) -> None:

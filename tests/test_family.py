@@ -1,15 +1,20 @@
+import gc
 import math
 
 import pytest
 
 from sumatoms import (
     Case,
+    FiniteGroup,
     ValidationError,
+    arc_atom_cardinality_check,
     build_example,
+    build_quotient_graph,
     classify_example,
     enumerate_subgroups,
     sophie_germain_scan,
     verify_example,
+    verify_two_coset_theorem,
 )
 from sumatoms.family import _conjugate_subgroups, _order_p_subgroup
 
@@ -119,6 +124,35 @@ def test_classify_example():
             e for e in result.transcript if e.name == "witness_subgroup_conjugate"
         ]
         assert conj_entry and conj_entry[0].passed
+
+
+def _live_groups():
+    return sum(1 for o in gc.get_objects() if isinstance(o, FiniteGroup))
+
+
+def test_a_member_and_its_caches_die_by_reference_counting():
+    # With the collector off, a member whose subgroups, translate masks and
+    # flows have been cached must be freed by reference counting alone, so a
+    # long run does not keep every dropped group's tables until the next
+    # full collection.
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_groups()
+        inst = build_example(7, 3)
+        assert classify_example(inst).case is Case.CASE_III
+        assert all(e.passed for e in verify_example(inst))
+        assert verify_two_coset_theorem(inst.group, inst.subset).holds is True
+        graph = build_quotient_graph(inst.group, inst.subgroup, inst.a)
+        assert arc_atom_cardinality_check(graph, 1, arc_transitive=True).passed
+        assert len(enumerate_subgroups(inst.group)) > 2
+        assert _live_groups() == before + 1
+        del inst, graph
+        assert _live_groups() == before
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_sophie_germain_scan():
